@@ -138,6 +138,8 @@ writePerfJson(const std::string &path, const std::string &bench,
                          s.scalingEfficiency);
         if (s.cacheHitRate >= 0.0)
             std::fprintf(f, ",\"cache_hit_rate\":%.6g", s.cacheHitRate);
+        if (s.nsPerNnz > 0.0)
+            std::fprintf(f, ",\"ns_per_nnz\":%.6g", s.nsPerNnz);
         std::fprintf(f, "}%s\n", i + 1 < samples.size() ? "," : "");
     }
     std::fprintf(f, " ]}\n");

@@ -106,6 +106,10 @@ struct PerfSample
     /** Schedule-cache hit rate over the batch; negative = not
      *  applicable, the field is omitted. */
     double cacheHitRate = -1.0;
+
+    /** Wall nanoseconds per non-zero (bench_perf_gen); 0 = not
+     *  applicable, the field is omitted. */
+    double nsPerNnz = 0.0;
 };
 
 /** Monotonic timestamp in milliseconds. */

@@ -30,13 +30,15 @@ ctest --test-dir build-tsan \
 # Memory-safety leg: the parsing/verification surface again under
 # ASan+UBSan (artifact readers, verifier, mutation injector, SARIF,
 # and the serving protocol's JSON/request parsers — hostile-input
-# territory).
+# territory), plus the generator golden tests, which drive the
+# in-place COO->CSR canonicalization and every generator.
 cmake -B build-asan -G Ninja -DCHASON_ASAN=ON
 cmake --build build-asan --target \
     test_matrix_market test_schedule_io test_artifact test_verifier \
-    test_sarif test_sarif_merge test_differential test_serve_protocol
+    test_sarif test_sarif_merge test_differential test_serve_protocol \
+    test_generator_golden
 ctest --test-dir build-asan \
-    -R 'test_(matrix_market|schedule_io|artifact$|verifier|sarif|differential|serve_protocol)' \
+    -R 'test_(matrix_market|schedule_io|artifact$|verifier|sarif|differential|serve_protocol|generator_golden)' \
     --output-on-failure 2>&1 | tee -a test_output.txt
 
 # Static schedule verification gate: every bundled example schedule must
@@ -285,6 +287,24 @@ build/tools/chason_perf_gate --current BENCH_batch.json \
     --baseline bench/baselines/BENCH_batch.prepr.json \
     --tier jobs4 --field scaling_efficiency --min-abs 0.7 \
     --min-ratio 0 2>&1 | tee -a test_output.txt
+
+# Materialization gate: BENCH_gen.json times the generators (R-MAT
+# catalog shape, zipf TR, preferential-attachment SC, block-diagonal
+# and Poisson corpus cells) and the cache-key fingerprint against a
+# baseline measured on the revision before the fast materialization
+# path. Every tier's checksum is a CSR-bit digest of its matrix, so
+# equal checksums prove both sides built bit-identical matrices.
+build/bench/bench_perf_gen --out BENCH_gen.json \
+    2>&1 | tee -a test_output.txt
+build/tools/chason_perf_gate --current BENCH_gen.json \
+    --baseline bench/baselines/BENCH_gen.prepr.json --min-ratio 0.5 \
+    2>&1 | tee -a test_output.txt
+build/tools/chason_perf_gate --current BENCH_gen.json \
+    --baseline bench/baselines/BENCH_gen.prepr.json \
+    --tier rmat_catalog --min-ratio 1.5 2>&1 | tee -a test_output.txt
+build/tools/chason_perf_gate --current BENCH_gen.json \
+    --baseline bench/baselines/BENCH_gen.prepr.json \
+    --tier fingerprint --min-ratio 4 2>&1 | tee -a test_output.txt
 
 : > bench_output.txt
 for b in build/bench/*; do

@@ -21,16 +21,6 @@ splitMix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-namespace {
-
-inline std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 Rng::Rng(std::uint64_t seed)
 {
     std::uint64_t sm = seed;
@@ -39,30 +29,15 @@ Rng::Rng(std::uint64_t seed)
 }
 
 std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-std::uint64_t
 Rng::nextBounded(std::uint64_t bound)
 {
     chason_assert(bound > 0, "nextBounded requires a positive bound");
     // Rejection sampling on the top of the range avoids modulo bias.
-    const std::uint64_t threshold = -bound % bound;
+    // The threshold (2^64 mod bound) is below bound, so a draw at or
+    // above bound is accepted without dividing for it.
     for (;;) {
         const std::uint64_t r = next();
-        if (r >= threshold)
+        if (r >= bound || r >= -bound % bound)
             return r % bound;
     }
 }
@@ -76,25 +51,6 @@ Rng::nextRange(std::int64_t lo, std::int64_t hi)
     if (span == 0) // full 64-bit range
         return static_cast<std::int64_t>(next());
     return lo + static_cast<std::int64_t>(nextBounded(span));
-}
-
-double
-Rng::nextDouble()
-{
-    // 53 high-quality bits into the mantissa.
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-float
-Rng::nextFloat(float lo, float hi)
-{
-    return lo + static_cast<float>(nextDouble()) * (hi - lo);
-}
-
-bool
-Rng::nextBool(double p)
-{
-    return nextDouble() < p;
 }
 
 double
@@ -119,23 +75,7 @@ Rng::nextGaussian()
 std::uint64_t
 Rng::nextZipf(std::uint64_t n, double s)
 {
-    chason_assert(n > 0, "nextZipf requires n > 0");
-    chason_assert(s > 1.0, "nextZipf requires exponent s > 1");
-    // Inverse-CDF via rejection (Devroye). Good enough for workload
-    // generation; exactness of the distribution is not important, the
-    // heavy tail is.
-    const double b = std::pow(2.0, s - 1.0);
-    for (;;) {
-        const double u = nextDouble();
-        const double v = nextDouble();
-        const double x = std::floor(std::pow(u, -1.0 / (s - 1.0)));
-        const double t = std::pow(1.0 + 1.0 / x, s - 1.0);
-        if (v * x * (t - 1.0) / (b - 1.0) <= t / b) {
-            const auto rank = static_cast<std::uint64_t>(x) - 1;
-            if (rank < n)
-                return rank;
-        }
-    }
+    return ZipfSampler(n, s)(*this);
 }
 
 Rng
@@ -155,6 +95,33 @@ Rng::forStream(std::uint64_t seed, std::uint64_t stream)
     state ^= stream * 0x9e3779b97f4a7c15ull;
     const std::uint64_t b = splitMix64(state);
     return Rng(a ^ b);
+}
+
+ZipfSampler::ZipfSampler(std::uint64_t n, double s)
+    : n_(n), sMinus1_(s - 1.0), b_(std::pow(2.0, s - 1.0)),
+      bMinus1_(b_ - 1.0), exponent_(-1.0 / (s - 1.0))
+{
+    chason_assert(n > 0, "nextZipf requires n > 0");
+    chason_assert(s > 1.0, "nextZipf requires exponent s > 1");
+}
+
+std::uint64_t
+ZipfSampler::operator()(Rng &rng) const
+{
+    // Inverse-CDF via rejection (Devroye). Good enough for workload
+    // generation; exactness of the distribution is not important, the
+    // heavy tail is.
+    for (;;) {
+        const double u = rng.nextDouble();
+        const double v = rng.nextDouble();
+        const double x = std::floor(std::pow(u, exponent_));
+        const double t = std::pow(1.0 + 1.0 / x, sMinus1_);
+        if (v * x * (t - 1.0) / bMinus1_ <= t / b_) {
+            const auto rank = static_cast<std::uint64_t>(x) - 1;
+            if (rank < n_)
+                return rank;
+        }
+    }
 }
 
 } // namespace chason

@@ -45,7 +45,20 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t next()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+
+        return result;
+    }
 
     std::uint64_t operator()() { return next(); }
 
@@ -58,14 +71,23 @@ class Rng
     /** Uniform integer in [lo, hi] inclusive. Requires lo <= hi. */
     std::int64_t nextRange(std::int64_t lo, std::int64_t hi);
 
-    /** Uniform double in [0, 1). */
-    double nextDouble();
+    /**
+     * Uniform double in [0, 1): the top 53 bits of next() scaled by
+     * 2^-53, which is exact (rmat() relies on it).
+     */
+    double nextDouble()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform float in [lo, hi). */
-    float nextFloat(float lo, float hi);
+    float nextFloat(float lo, float hi)
+    {
+        return lo + static_cast<float>(nextDouble()) * (hi - lo);
+    }
 
     /** Bernoulli trial with probability p of returning true. */
-    bool nextBool(double p);
+    bool nextBool(double p) { return nextDouble() < p; }
 
     /** Standard normal variate (Box-Muller, deterministic). */
     double nextGaussian();
@@ -73,6 +95,8 @@ class Rng
     /**
      * Zipf-like integer in [0, n): rank r drawn with probability
      * proportional to 1 / (r + 1)^s. Used for power-law graph degrees.
+     * Loops drawing many ranks should hold a ZipfSampler instead; the
+     * draws are the same.
      */
     std::uint64_t nextZipf(std::uint64_t n, double s);
 
@@ -89,9 +113,35 @@ class Rng
     static Rng forStream(std::uint64_t seed, std::uint64_t stream);
 
   private:
+    static std::uint64_t rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
     bool hasSpareGaussian_ = false;
     double spareGaussian_ = 0.0;
+};
+
+/**
+ * Rng::nextZipf(n, s) with its per-call constants hoisted: the same
+ * expressions, evaluated once, so a sampler draws exactly the ranks
+ * nextZipf would from the same stream.
+ */
+class ZipfSampler
+{
+  public:
+    /** Requires n > 0 and s > 1. */
+    ZipfSampler(std::uint64_t n, double s);
+
+    std::uint64_t operator()(Rng &rng) const;
+
+  private:
+    std::uint64_t n_;
+    double sMinus1_;  ///< s - 1
+    double b_;        ///< 2^(s-1)
+    double bMinus1_;  ///< b - 1
+    double exponent_; ///< -1 / (s - 1)
 };
 
 } // namespace chason

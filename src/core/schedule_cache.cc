@@ -17,8 +17,7 @@ namespace core {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffsetA = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvOffsetB = 0x84222325cbf29ce4ull;
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
 inline void
@@ -30,25 +29,85 @@ mix(std::uint64_t &h, std::uint64_t value)
     }
 }
 
+// xxHash64's primes and round; see fingerprint() in the header.
+constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ull;
+constexpr std::uint64_t kPrime2 = 0xc2b2ae3d27d4eb4full;
+constexpr std::uint64_t kPrime3 = 0x165667b19e3779f9ull;
+constexpr std::uint64_t kPrime4 = 0x85ebca77c2b2ae63ull;
+constexpr std::uint64_t kPrime5 = 0x27d4eb2f165667c5ull;
+
+inline std::uint64_t
+rotl64(std::uint64_t x, int r)
+{
+    return (x << r) | (x >> (64 - r));
+}
+
+/** One lane step; a bijection of @p acc and of @p word. */
+inline std::uint64_t
+laneRound(std::uint64_t acc, std::uint64_t word)
+{
+    return rotl64(acc + word * kPrime2, 31) * kPrime1;
+}
+
+inline std::uint64_t
+avalanche(std::uint64_t h)
+{
+    h ^= h >> 33;
+    h *= kPrime2;
+    h ^= h >> 29;
+    h *= kPrime3;
+    return h ^ (h >> 32);
+}
+
+/** Absorb words 0..n-1 of @p word into @p lane, round-robin. */
+template <typename Word>
+inline void
+absorb(std::uint64_t (&lane)[4], std::size_t n, Word word)
+{
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        lane[0] = laneRound(lane[0], word(i));
+        lane[1] = laneRound(lane[1], word(i + 1));
+        lane[2] = laneRound(lane[2], word(i + 2));
+        lane[3] = laneRound(lane[3], word(i + 3));
+    }
+    for (; i < n; ++i)
+        lane[i & 3] = laneRound(lane[i & 3], word(i));
+}
+
 } // namespace
 
 MatrixFingerprint
 fingerprint(const sparse::CsrMatrix &a)
 {
-    MatrixFingerprint fp{kFnvOffsetA, kFnvOffsetB};
-    mix(fp.lo, a.rows());
-    mix(fp.hi, a.cols());
-    mix(fp.lo, a.nnz());
-    mix(fp.hi, a.nnz() * 0x9e3779b97f4a7c15ull);
-    for (std::size_t i = 0; i <= a.rows(); ++i)
-        mix(fp.lo, a.rowPtr()[i]);
-    for (std::size_t i = 0; i < a.nnz(); ++i) {
-        mix(fp.lo, a.colIdx()[i]);
-        mix(fp.hi,
-            (static_cast<std::uint64_t>(a.colIdx()[i]) << 32) |
-                floatToBits(a.values()[i]));
+    std::uint64_t lane[4] = {kPrime1 + kPrime2, kPrime2, 0, 0 - kPrime1};
+    const std::size_t *row_ptr = a.rowPtr().data();
+    absorb(lane, a.rowPtr().size(),
+           [row_ptr](std::size_t i) { return row_ptr[i]; });
+    const std::uint32_t *col_idx = a.colIdx().data();
+    const float *values = a.values().data();
+    absorb(lane, a.nnz(), [col_idx, values](std::size_t i) {
+        return (static_cast<std::uint64_t>(col_idx[i]) << 32) |
+            floatToBits(values[i]);
+    });
+
+    // Two merges of the same four lanes, differing in rotations, lane
+    // order and constants; each is a bijection of the shape words for
+    // fixed lanes, so a changed rows/cols/nnz changes both halves.
+    const std::uint64_t shape =
+        (static_cast<std::uint64_t>(a.rows()) << 32) | a.cols();
+    const std::uint64_t nnz = a.nnz();
+    std::uint64_t lo = rotl64(lane[0], 1) + rotl64(lane[1], 7) +
+        rotl64(lane[2], 12) + rotl64(lane[3], 18);
+    std::uint64_t hi = rotl64(lane[3], 5) + rotl64(lane[2], 23) +
+        rotl64(lane[1], 37) + rotl64(lane[0], 51);
+    for (int k = 0; k < 4; ++k) {
+        lo = (lo ^ laneRound(0, lane[k])) * kPrime1 + kPrime4;
+        hi = (hi ^ laneRound(kPrime5, lane[3 - k])) * kPrime2 + kPrime3;
     }
-    return fp;
+    lo = laneRound(lo, shape) ^ nnz;
+    hi = laneRound(hi ^ nnz, shape);
+    return MatrixFingerprint{avalanche(lo), avalanche(hi)};
 }
 
 MatrixHandle::MatrixHandle(std::shared_ptr<const sparse::CsrMatrix> matrix)
@@ -72,7 +131,7 @@ MatrixHandle::MatrixHandle(sparse::CsrMatrix &&matrix)
 ScheduleKey
 scheduleKey(const sched::Scheduler &scheduler, const MatrixFingerprint &fp)
 {
-    std::uint64_t h = kFnvOffsetA;
+    std::uint64_t h = kFnvOffset;
     for (const char c : scheduler.name())
         mix(h, static_cast<unsigned char>(c));
     const sched::SchedConfig &cfg = scheduler.config();

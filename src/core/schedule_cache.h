@@ -51,7 +51,11 @@
 namespace chason {
 namespace core {
 
-/** 128-bit matrix fingerprint (two independent FNV-1a streams). */
+/**
+ * 128-bit matrix fingerprint: two 64-bit projections of one
+ * four-lane multiply-rotate hash over the matrix words (see
+ * fingerprint()).
+ */
 struct MatrixFingerprint
 {
     std::uint64_t lo = 0;
@@ -61,7 +65,20 @@ struct MatrixFingerprint
                            const MatrixFingerprint &) = default;
 };
 
-/** Fingerprint a CSR matrix: dimensions, structure and values. */
+/**
+ * Fingerprint a CSR matrix: dimensions, structure and values.
+ *
+ * Word-parallel: the rowPtr words, then one (col << 32 | value bits)
+ * word per non-zero, are absorbed round-robin into four independent
+ * xxHash64-style lanes (multiply, rotate, multiply). Each round is a
+ * bijection of its input word, so any changed word changes its lane,
+ * and the rotate carries high input bits into the low state bits; the
+ * lanes pipeline instead of chaining one multiply per input byte. The
+ * two halves are different merges of the lanes with the shape (rows,
+ * cols, nnz), each finished by a full avalanche. Key bytes are part of the
+ * CHSA artifact header (docs/ARTIFACT_FORMAT.md): changing this
+ * function orphans every stored artifact, which tests pin on purpose.
+ */
 MatrixFingerprint fingerprint(const sparse::CsrMatrix &a);
 
 /**

@@ -48,12 +48,28 @@ CscMatrix::maxColNnz() const
 CsrMatrix
 CscMatrix::toCsr() const
 {
-    CooMatrix coo(rows_, cols_);
+    // The counting-sort scatter of fromCsr, mirrored: a CSC matrix has
+    // no duplicates and walking its columns in ascending order leaves
+    // each CSR row's column indices sorted, so no COO round trip and no
+    // sort.
+    std::vector<std::size_t> row_ptr(static_cast<std::size_t>(rows_) + 1,
+                                     0);
+    for (std::uint32_t r : rowIdx_)
+        ++row_ptr[r + 1];
+    for (std::uint32_t r = 0; r < rows_; ++r)
+        row_ptr[r + 1] += row_ptr[r];
+    std::vector<std::uint32_t> col_idx(rowIdx_.size());
+    std::vector<float> values(values_.size());
+    std::vector<std::size_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
     for (std::uint32_t c = 0; c < cols_; ++c) {
-        for (std::size_t i = colPtr_[c]; i < colPtr_[c + 1]; ++i)
-            coo.add(rowIdx_[i], c, values_[i]);
+        for (std::size_t i = colPtr_[c]; i < colPtr_[c + 1]; ++i) {
+            const std::size_t pos = cursor[rowIdx_[i]]++;
+            col_idx[pos] = c;
+            values[pos] = values_[i];
+        }
     }
-    return coo.toCsr();
+    return CsrMatrix(rows_, cols_, std::move(row_ptr), std::move(col_idx),
+                     std::move(values));
 }
 
 std::vector<float>

@@ -310,7 +310,7 @@ sweepCorpus(std::size_t count)
                             drawValue(
                                 rng, ValueDistribution::PositiveUniform));
                 }
-                return coo.toCsr();
+                return std::move(coo).toCsr();
             }});
             break;
           }

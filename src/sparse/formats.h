@@ -48,6 +48,9 @@ class CooMatrix
     /** Fraction of positions that are populated, in percent. */
     double densityPercent() const;
 
+    /** Make room for @p n entries in total (no-op if already larger). */
+    void reserve(std::size_t n) { entries_.reserve(n); }
+
     /** Append one entry; indices must be in range. */
     void add(std::uint32_t row, std::uint32_t col, float value);
 
@@ -56,11 +59,25 @@ class CooMatrix
 
     const std::vector<Triplet> &entries() const { return entries_; }
 
-    /** Sort row-major (row, then col) and combine duplicate coordinates. */
+    /**
+     * Sort row-major (row, then col) and combine duplicate coordinates
+     * by summation, in the order the sort leaves them. The order is
+     * part of the result (float addition is not associative), so the
+     * sort is std::sort with the (row, col) comparison and nothing
+     * else: not stable, not radix.
+     */
     void canonicalize();
 
     /** Convert to CSR (canonicalizes a copy internally). */
-    CsrMatrix toCsr() const;
+    CsrMatrix toCsr() const &;
+
+    /**
+     * Convert to CSR, canonicalizing in place: the entries are sorted
+     * and merged where they are and then released, so a temporary
+     * (a generator's, or readMatrixMarketFile(...).toCsr()) is never
+     * copied. Leaves this matrix with no entries.
+     */
+    CsrMatrix toCsr() &&;
 
   private:
     std::uint32_t rows_ = 0;
@@ -113,6 +130,15 @@ class CsrMatrix
     std::string describe() const;
 
   private:
+    friend class CooMatrix;
+    friend class CscMatrix;
+
+    /** Adopt finished CSR arrays (sizes checked, contents trusted). */
+    CsrMatrix(std::uint32_t rows, std::uint32_t cols,
+              std::vector<std::size_t> row_ptr,
+              std::vector<std::uint32_t> col_idx,
+              std::vector<float> values);
+
     std::uint32_t rows_ = 0;
     std::uint32_t cols_ = 0;
     std::vector<std::size_t> rowPtr_;   // size rows_ + 1

@@ -13,6 +13,29 @@
 namespace chason {
 namespace sparse {
 
+namespace {
+
+/**
+ * The integer form of a nextDouble() threshold: for every draw,
+ * `nextDouble() < t` equals `(next() >> 11) < doubleThreshold(t)`.
+ * The draw is m * 2^-53 for an integer m < 2^53, exact in a double,
+ * and m * 2^-53 < t holds exactly when m < ceil(t * 2^53), itself
+ * exact because scaling by a power of two is. Thresholds at or below
+ * 0 (and NaN) never pass; at or above 1 always do.
+ */
+std::uint64_t
+doubleThreshold(double t)
+{
+    constexpr double kScale = 0x1.0p53;
+    if (!(t > 0.0))
+        return 0;
+    if (t >= 1.0)
+        return static_cast<std::uint64_t>(kScale);
+    return static_cast<std::uint64_t>(std::ceil(t * kScale));
+}
+
+} // namespace
+
 float
 drawValue(Rng &rng, ValueDistribution dist)
 {
@@ -33,12 +56,13 @@ erdosRenyi(std::uint32_t rows, std::uint32_t cols, std::size_t nnz_target,
 {
     chason_assert(rows > 0 && cols > 0, "empty matrix shape");
     CooMatrix coo(rows, cols);
+    coo.reserve(nnz_target);
     for (std::size_t i = 0; i < nnz_target; ++i) {
         const auto r = static_cast<std::uint32_t>(rng.nextBounded(rows));
         const auto c = static_cast<std::uint32_t>(rng.nextBounded(cols));
         coo.add(r, c, drawValue(rng, dist));
     }
-    return coo.toCsr();
+    return std::move(coo).toCsr();
 }
 
 CsrMatrix
@@ -50,25 +74,32 @@ rmat(std::uint32_t scale, std::size_t nnz_target, Rng &rng, double a,
     chason_assert(d >= 0.0, "rmat probabilities exceed 1");
     const std::uint32_t n = 1u << scale;
 
+    // Each level draws p = nextDouble() and picks a quadrant by the
+    // first of p < a, p < a + b, p < a + b + c that holds. The same
+    // comparisons on the raw draw's top 53 bits, against the exact
+    // integer thresholds, give the quadrant without branches: with
+    // lt_x = (m < threshold(x)), the row bit is set when neither
+    // p < a nor p < a + b, the column bit when p >= a and either
+    // p < a + b or p >= a + b + c.
+    const std::uint64_t t_a = doubleThreshold(a);
+    const std::uint64_t t_ab = doubleThreshold(a + b);
+    const std::uint64_t t_abc = doubleThreshold(a + b + c);
+
     CooMatrix coo(n, n);
+    coo.reserve(nnz_target);
     for (std::size_t i = 0; i < nnz_target; ++i) {
         std::uint32_t row = 0, col = 0;
         for (std::uint32_t bit = n >> 1; bit > 0; bit >>= 1) {
-            const double p = rng.nextDouble();
-            if (p < a) {
-                // top-left quadrant: nothing to add
-            } else if (p < a + b) {
-                col |= bit;
-            } else if (p < a + b + c) {
-                row |= bit;
-            } else {
-                row |= bit;
-                col |= bit;
-            }
+            const std::uint64_t m = rng.next() >> 11;
+            const std::uint32_t lt_a = m < t_a;
+            const std::uint32_t lt_ab = m < t_ab;
+            const std::uint32_t lt_abc = m < t_abc;
+            row |= bit & -((1u ^ lt_a) & (1u ^ lt_ab));
+            col |= bit & -((1u ^ lt_a) & (lt_ab | (1u ^ lt_abc)));
         }
         coo.add(row, col, drawValue(rng, dist));
     }
-    return coo.toCsr();
+    return std::move(coo).toCsr();
 }
 
 CsrMatrix
@@ -105,7 +136,7 @@ preferentialAttachment(std::uint32_t nodes, std::uint32_t edges_per_node,
         }
         targets.push_back(v);
     }
-    return coo.toCsr();
+    return std::move(coo).toCsr();
 }
 
 CsrMatrix
@@ -124,7 +155,7 @@ banded(std::uint32_t n, std::uint32_t bandwidth, double fill, Rng &rng,
                 coo.add(r, c, drawValue(rng, dist));
         }
     }
-    return coo.toCsr();
+    return std::move(coo).toCsr();
 }
 
 CsrMatrix
@@ -155,7 +186,7 @@ arrowBanded(std::uint32_t n, std::uint32_t bandwidth, double fill,
                 coo.add(r, c, drawValue(rng, dist));
         }
     }
-    return coo.toCsr();
+    return std::move(coo).toCsr();
 }
 
 CsrMatrix
@@ -184,7 +215,7 @@ blockDiagonal(std::uint32_t n, std::uint32_t block_size, double block_fill,
             }
         }
     }
-    return coo.toCsr();
+    return std::move(coo).toCsr();
 }
 
 CsrMatrix
@@ -217,7 +248,7 @@ mycielskian(unsigned k, ValueDistribution dist)
     CooMatrix coo(n, n);
     for (auto [x, y] : edges)
         coo.addSymmetric(x, y, drawValue(value_rng, dist));
-    return coo.toCsr();
+    return std::move(coo).toCsr();
 }
 
 CsrMatrix
@@ -243,7 +274,7 @@ poisson2d(std::uint32_t grid)
                 coo.add(me, idx(i, j + 1), -1.0f);
         }
     }
-    return coo.toCsr();
+    return std::move(coo).toCsr();
 }
 
 CsrMatrix
@@ -251,14 +282,15 @@ zipfRows(std::uint32_t rows, std::uint32_t cols, std::size_t nnz_target,
          double s, Rng &rng, ValueDistribution dist)
 {
     chason_assert(rows > 0 && cols > 0, "empty matrix shape");
+    const ZipfSampler row_rank(rows, s);
     CooMatrix coo(rows, cols);
+    coo.reserve(nnz_target);
     for (std::size_t i = 0; i < nnz_target; ++i) {
-        const auto r =
-            static_cast<std::uint32_t>(rng.nextZipf(rows, s));
+        const auto r = static_cast<std::uint32_t>(row_rank(rng));
         const auto c = static_cast<std::uint32_t>(rng.nextBounded(cols));
         coo.add(r, c, drawValue(rng, dist));
     }
-    return coo.toCsr();
+    return std::move(coo).toCsr();
 }
 
 std::vector<float>

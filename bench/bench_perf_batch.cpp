@@ -141,8 +141,6 @@ main(int argc, char **argv)
 
         bench::PerfSample s;
         s.tier = tier.name;
-        s.rows = static_cast<std::uint32_t>(kCatalogSize);
-        s.cols = static_cast<std::uint32_t>(kJobsPerBatch);
         s.nnz = batch_nnz;
         s.warmups = tier.warmups;
         s.iterations = static_cast<unsigned>(times_ms.size());

@@ -7,10 +7,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
+#include <fstream>
 
 #include "common/buildinfo.h"
 #include "common/env.h"
+#include "common/json.h"
 #include "common/logging.h"
 
 namespace chason {
@@ -108,42 +109,47 @@ writePerfJson(const std::string &path, const std::string &bench,
               const std::string &unit,
               const std::vector<PerfSample> &samples)
 {
-    FILE *f = std::fopen(path.c_str(), "w");
-    chason_assert(f != nullptr, "cannot write %s", path.c_str());
-    std::fprintf(f, "{\"bench\":\"%s\",\"unit\":\"%s\",\"git_rev\":\"%s\","
-                 "\n \"tiers\":[\n", bench.c_str(), unit.c_str(),
-                 gitRevision().c_str());
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-        const PerfSample &s = samples[i];
-        std::fprintf(
-            f,
-            "  {\"tier\":\"%s\",\"rows\":%u,\"cols\":%u,\"nnz\":%zu,"
-            "\"warmups\":%u,\"iterations\":%u,\"median_ms\":%.6g,"
-            "\"throughput_per_s\":%.6g",
-            s.tier.c_str(), s.rows, s.cols, s.nnz, s.warmups,
-            s.iterations, s.medianMs, s.throughputPerS);
-        // A zero cycle count means "this bench does not simulate", not
-        // "it simulated nothing" — leave the field out rather than
-        // emit a misleading number.
-        if (s.cycles != 0)
-            std::fprintf(f, ",\"cycles\":%llu",
-                         static_cast<unsigned long long>(s.cycles));
-        std::fprintf(f, ",\"checksum\":%.17g", s.checksum);
-        if (s.coldMedianMs > 0.0)
-            std::fprintf(f, ",\"cold_median_ms\":%.6g", s.coldMedianMs);
-        if (s.jobsCount > 0)
-            std::fprintf(f, ",\"jobs\":%u", s.jobsCount);
-        if (s.scalingEfficiency >= 0.0)
-            std::fprintf(f, ",\"scaling_efficiency\":%.6g",
-                         s.scalingEfficiency);
-        if (s.cacheHitRate >= 0.0)
-            std::fprintf(f, ",\"cache_hit_rate\":%.6g", s.cacheHitRate);
-        if (s.nsPerNnz > 0.0)
-            std::fprintf(f, ",\"ns_per_nnz\":%.6g", s.nsPerNnz);
-        std::fprintf(f, "}%s\n", i + 1 < samples.size() ? "," : "");
-    }
-    std::fprintf(f, " ]}\n");
-    std::fclose(f);
+    // Fields a bench does not measure are left out, not written as a
+    // misleading 0 (a zero cycle count means "does not simulate").
+    common::JsonWriter out(common::JsonWriter::Layout::MultiLine);
+    out.object([&] {
+        out.field("bench", bench)
+            .field("unit", unit)
+            .field("git_rev", gitRevision());
+        out.array("tiers", [&] {
+            for (const PerfSample &s : samples) {
+                out.object([&] {
+                    out.field("tier", s.tier);
+                    if (s.rows != 0)
+                        out.field("rows", s.rows);
+                    if (s.cols != 0)
+                        out.field("cols", s.cols);
+                    out.field("nnz", s.nnz)
+                        .field("warmups", s.warmups)
+                        .field("iterations", s.iterations)
+                        .field("median_ms", s.medianMs)
+                        .field("throughput_per_s", s.throughputPerS);
+                    if (s.cycles != 0)
+                        out.field("cycles", s.cycles);
+                    out.field("checksum", s.checksum);
+                    if (s.coldMedianMs > 0.0)
+                        out.field("cold_median_ms", s.coldMedianMs);
+                    if (s.jobsCount > 0)
+                        out.field("jobs", s.jobsCount);
+                    if (s.scalingEfficiency >= 0.0)
+                        out.field("scaling_efficiency",
+                                  s.scalingEfficiency);
+                    if (s.cacheHitRate >= 0.0)
+                        out.field("cache_hit_rate", s.cacheHitRate);
+                    if (s.nsPerNnz > 0.0)
+                        out.field("ns_per_nnz", s.nsPerNnz);
+                });
+            }
+        });
+    });
+    std::ofstream file(path);
+    file << out.str() << '\n';
+    chason_assert(file.good(), "cannot write %s", path.c_str());
 }
 
 } // namespace bench

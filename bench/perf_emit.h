@@ -73,8 +73,8 @@ bool keepTiming(const PerfTier &tier,
 struct PerfSample
 {
     std::string tier;
-    std::uint32_t rows = 0;
-    std::uint32_t cols = 0;
+    std::uint32_t rows = 0; ///< 0 = no single matrix; field omitted
+    std::uint32_t cols = 0; ///< 0 = no single matrix; field omitted
     std::size_t nnz = 0;
     unsigned warmups = 0;
     unsigned iterations = 0; ///< timed runs actually measured
@@ -128,13 +128,15 @@ double medianOf(std::vector<double> samples);
 std::string gitRevision();
 
 /**
- * Write the report. Layout (one tier object per line, which is what
- * chason_perf_gate's intentionally simple reader relies on):
+ * Write the report, multi-line (common::JsonWriter) so a committed
+ * BENCH file reads as a diff:
  *
- *   {"bench":"sched","unit":"nnz_per_s","git_rev":"abc1234",
- *    "tiers":[
- *     {"tier":"small",...,"throughput_per_s":8.1e6,...},
- *     ...]}
+ *   {"bench": "sched", "unit": "nnz_per_s", "git_rev": "abc1234",
+ *    "tiers": [{"tier": "small", ..., "throughput_per_s": 8.1e6, ...},
+ *              ...]}
+ *
+ * Optional fields (rows/cols, cycles, cold_median_ms, jobs, ...) are
+ * left out when the bench does not measure them.
  */
 void writePerfJson(const std::string &path, const std::string &bench,
                    const std::string &unit,

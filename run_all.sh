@@ -29,16 +29,17 @@ ctest --test-dir build-tsan \
 
 # Memory-safety leg: the parsing/verification surface again under
 # ASan+UBSan (artifact readers, verifier, mutation injector, SARIF,
-# and the serving protocol's JSON/request parsers — hostile-input
-# territory), plus the generator golden tests, which drive the
-# in-place COO->CSR canonicalization and every generator.
+# the serving protocol's request parser and the common JSON module's
+# parser and writer — hostile-input territory), plus the generator
+# golden tests, which drive the in-place COO->CSR canonicalization and
+# every generator.
 cmake -B build-asan -G Ninja -DCHASON_ASAN=ON
 cmake --build build-asan --target \
     test_matrix_market test_schedule_io test_artifact test_verifier \
     test_sarif test_sarif_merge test_differential test_serve_protocol \
-    test_generator_golden
+    test_json test_generator_golden
 ctest --test-dir build-asan \
-    -R 'test_(matrix_market|schedule_io|artifact$|verifier|sarif|differential|serve_protocol|generator_golden)' \
+    -R 'test_(matrix_market|schedule_io|artifact$|verifier|sarif|differential|serve_protocol|json|generator_golden)' \
     --output-on-failure 2>&1 | tee -a test_output.txt
 
 # Static schedule verification gate: every bundled example schedule must
@@ -55,6 +56,21 @@ fi
 if command -v python3 >/dev/null 2>&1; then
     python3 -c "import json; json.load(open('verify_output.sarif'))" \
         && echo "SARIF OK: verify_output.sarif" | tee -a test_output.txt
+fi
+
+# Sweep output gate: every line chason_sweep writes — one per matrix
+# plus the trailing summary — must be a JSON document of its own.
+build/tools/chason_sweep --count 16 --out sweep_output.jsonl \
+    2>&1 | tee -a test_output.txt
+if command -v python3 >/dev/null 2>&1; then
+    python3 - <<'EOF' 2>&1 | tee -a test_output.txt
+import json
+docs = [json.loads(line) for line in open("sweep_output.jsonl")]
+assert len(docs) == 17, f"expected 16 matrices + summary, got {len(docs)}"
+assert all("chason" in d and "end_to_end" in d for d in docs[:-1])
+assert docs[-1]["summary"]["matrices"] == 16, "summary line is wrong"
+print(f"SWEEP JSON OK: {len(docs)} lines parse")
+EOF
 fi
 
 # CHSA artifact admission gate: pack a schedule artifact, prove the
@@ -305,6 +321,12 @@ build/tools/chason_perf_gate --current BENCH_gen.json \
 build/tools/chason_perf_gate --current BENCH_gen.json \
     --baseline bench/baselines/BENCH_gen.prepr.json \
     --tier fingerprint --min-ratio 4 2>&1 | tee -a test_output.txt
+if command -v python3 >/dev/null 2>&1; then
+    python3 -c "import json, sys; [json.load(open(f)) for f in sys.argv[1:]]" \
+        BENCH_sched.json BENCH_sim.json BENCH_load.json BENCH_batch.json \
+        BENCH_gen.json \
+        && echo "BENCH JSON OK: all five reports parse" | tee -a test_output.txt
+fi
 
 : > bench_output.txt
 for b in build/bench/*; do

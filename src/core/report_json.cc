@@ -5,136 +5,13 @@
 
 #include "core/report_json.h"
 
-#include <cmath>
-#include <cstdio>
-#include <sstream>
-
 namespace chason {
 namespace core {
 
-namespace {
-
-/** Minimal JSON object builder. */
-class JsonObject
+void
+writeFields(common::JsonWriter &out, const arch::CycleBreakdown &cycles)
 {
-  public:
-    JsonObject &
-    field(const std::string &key, double value)
-    {
-        next();
-        // JSON has no NaN/Inf; clamp to null.
-        if (std::isfinite(value)) {
-            char buf[48];
-            std::snprintf(buf, sizeof(buf), "%.9g", value);
-            out_ << '"' << jsonEscape(key) << "\":" << buf;
-        } else {
-            out_ << '"' << jsonEscape(key) << "\":null";
-        }
-        return *this;
-    }
-
-    JsonObject &
-    field(const std::string &key, std::uint64_t value)
-    {
-        next();
-        out_ << '"' << jsonEscape(key) << "\":" << value;
-        return *this;
-    }
-
-    JsonObject &
-    field(const std::string &key, const std::string &value)
-    {
-        next();
-        out_ << '"' << jsonEscape(key) << "\":\"" << jsonEscape(value)
-             << '"';
-        return *this;
-    }
-
-    JsonObject &
-    rawField(const std::string &key, const std::string &raw_json)
-    {
-        next();
-        out_ << '"' << jsonEscape(key) << "\":" << raw_json;
-        return *this;
-    }
-
-    JsonObject &
-    field(const std::string &key, const std::vector<double> &values)
-    {
-        next();
-        out_ << '"' << jsonEscape(key) << "\":[";
-        for (std::size_t i = 0; i < values.size(); ++i) {
-            if (i)
-                out_ << ',';
-            char buf[48];
-            std::snprintf(buf, sizeof(buf), "%.9g", values[i]);
-            out_ << buf;
-        }
-        out_ << ']';
-        return *this;
-    }
-
-    std::string
-    str() const
-    {
-        return "{" + out_.str() + "}";
-    }
-
-  private:
-    std::ostringstream out_;
-    bool first_ = true;
-
-    void
-    next()
-    {
-        if (!first_)
-            out_ << ',';
-        first_ = false;
-    }
-};
-
-} // namespace
-
-std::string
-jsonEscape(const std::string &raw)
-{
-    std::string out;
-    out.reserve(raw.size());
-    for (unsigned char c : raw) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-toJson(const arch::CycleBreakdown &cycles)
-{
-    JsonObject obj;
-    obj.field("matrix_stream", cycles.matrixStream)
+    out.field("matrix_stream", cycles.matrixStream)
         .field("x_load", cycles.xLoad)
         .field("pipeline_fill", cycles.pipelineFill)
         .field("reduction", cycles.reduction)
@@ -142,22 +19,21 @@ toJson(const arch::CycleBreakdown &cycles)
         .field("inst_stream", cycles.instStream)
         .field("launch", cycles.launch)
         .field("total", cycles.total());
-    return obj.str();
 }
 
-std::string
-toJson(const SpmvReport &report)
+void
+writeFields(common::JsonWriter &out, const SpmvReport &report)
 {
-    JsonObject obj;
-    obj.field("kind", std::string("spmv"))
+    out.field("kind", "spmv")
         .field("accelerator", report.accelerator)
         .field("dataset", report.dataset)
-        .field("rows", static_cast<std::uint64_t>(report.rows))
-        .field("cols", static_cast<std::uint64_t>(report.cols))
-        .field("nnz", static_cast<std::uint64_t>(report.nnz))
+        .field("rows", report.rows)
+        .field("cols", report.cols)
+        .field("nnz", report.nnz)
         .field("frequency_mhz", report.frequencyMhz)
         .field("cycles", report.cycles)
-        .rawField("cycle_breakdown", toJson(report.cycleBreakdown))
+        .object("cycle_breakdown",
+                [&] { writeFields(out, report.cycleBreakdown); })
         .field("latency_ms", report.latencyMs)
         .field("gflops", report.gflops)
         .field("power_w", report.powerW)
@@ -170,20 +46,18 @@ toJson(const SpmvReport &report)
         .field("matrix_stream_bytes", report.matrixStreamBytes)
         .field("total_bytes", report.totalBytes)
         .field("functional_error", report.functionalError);
-    return obj.str();
 }
 
-std::string
-toJson(const SpmmReport &report)
+void
+writeFields(common::JsonWriter &out, const SpmmReport &report)
 {
-    JsonObject obj;
-    obj.field("kind", std::string("spmm"))
+    out.field("kind", "spmm")
         .field("accelerator", report.accelerator)
-        .field("rows", static_cast<std::uint64_t>(report.rows))
-        .field("cols", static_cast<std::uint64_t>(report.cols))
-        .field("n_cols", static_cast<std::uint64_t>(report.nCols))
-        .field("nnz", static_cast<std::uint64_t>(report.nnz))
-        .field("tiles", static_cast<std::uint64_t>(report.tiles))
+        .field("rows", report.rows)
+        .field("cols", report.cols)
+        .field("n_cols", report.nCols)
+        .field("nnz", report.nnz)
+        .field("tiles", report.tiles)
         .field("frequency_mhz", report.frequencyMhz)
         .field("cycles", report.cycles)
         .field("latency_ms", report.latencyMs)
@@ -191,60 +65,49 @@ toJson(const SpmmReport &report)
         .field("underutilization_percent",
                report.underutilizationPercent)
         .field("functional_error", report.functionalError);
-    return obj.str();
 }
 
-std::string
-toJson(const sched::ScheduleStats &stats)
+void
+writeFields(common::JsonWriter &out, const sched::ScheduleStats &stats)
 {
-    JsonObject obj;
-    obj.field("nnz", static_cast<std::uint64_t>(stats.nnz))
-        .field("total_slots",
-               static_cast<std::uint64_t>(stats.totalSlots))
-        .field("stalls", static_cast<std::uint64_t>(stats.stalls))
-        .field("underutilization_percent",
-               stats.underutilizationPercent)
-        .field("per_peg_underutilization",
-               stats.perPegUnderutilization)
-        .field("stream_beats_per_channel",
-               static_cast<std::uint64_t>(stats.streamBeatsPerChannel))
+    out.field("nnz", stats.nnz)
+        .field("total_slots", stats.totalSlots)
+        .field("stalls", stats.stalls)
+        .field("underutilization_percent", stats.underutilizationPercent)
+        .field("per_peg_underutilization", stats.perPegUnderutilization)
+        .field("stream_beats_per_channel", stats.streamBeatsPerChannel)
         .field("matrix_beats", stats.matrixBeats)
         .field("matrix_bytes", stats.matrixBytes)
-        .field("phases", static_cast<std::uint64_t>(stats.phases));
-    return obj.str();
+        .field("phases", stats.phases);
 }
 
-std::string
-toJson(const ScheduleCacheStats &stats)
+void
+writeFields(common::JsonWriter &out, const ScheduleCacheStats &stats)
 {
-    JsonObject obj;
-    obj.field("hits", stats.hits)
+    out.field("hits", stats.hits)
         .field("misses", stats.misses)
         .field("hit_rate", stats.hitRate())
         .field("evictions", stats.evictions)
         .field("disk_hits", stats.diskHits)
         .field("disk_misses", stats.diskMisses)
+        .field("disk_hit_rate", stats.diskHitRate())
         .field("persisted", stats.persisted)
         .field("corrupt", stats.corrupt)
-        .field("entries", static_cast<std::uint64_t>(stats.entries))
-        .field("bytes", static_cast<std::uint64_t>(stats.bytes))
-        .field("budget_bytes",
-               static_cast<std::uint64_t>(stats.budgetBytes))
+        .field("entries", stats.entries)
+        .field("bytes", stats.bytes)
+        .field("budget_bytes", stats.budgetBytes)
         .field("plans_built", stats.plansBuilt)
-        .field("plan_bytes", static_cast<std::uint64_t>(stats.planBytes));
-    return obj.str();
+        .field("plan_bytes", stats.planBytes);
 }
 
-std::string
-toJson(const Comparison &comparison)
+void
+writeFields(common::JsonWriter &out, const Comparison &comparison)
 {
-    JsonObject obj;
-    obj.rawField("chason", toJson(comparison.chason))
-        .rawField("serpens", toJson(comparison.serpens))
+    out.object("chason", [&] { writeFields(out, comparison.chason); })
+        .object("serpens", [&] { writeFields(out, comparison.serpens); })
         .field("speedup", comparison.speedup())
         .field("transfer_reduction", comparison.transferReduction())
         .field("energy_gain", comparison.energyGain());
-    return obj.str();
 }
 
 } // namespace core

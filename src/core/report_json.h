@@ -3,8 +3,10 @@
  * JSON serialization of reports — the machine-readable counterpart of
  * the benches' text tables, for downstream plotting/tooling.
  *
- * The emitter is deliberately tiny (no external dependency): flat
- * objects, arrays of numbers, RFC 8259-compliant string escaping.
+ * Every report type has a writeFields() overload that writes its
+ * members into an object a common::JsonWriter has open, so callers can
+ * nest a report or extend its object (chason_sweep, the daemon's
+ * stats); toJson() wraps the same members in a compact object.
  */
 
 #ifndef CHASON_CORE_REPORT_JSON_H_
@@ -13,6 +15,7 @@
 #include <string>
 
 #include "arch/timing.h"
+#include "common/json.h"
 #include "core/engine.h"
 #include "core/schedule_cache.h"
 #include "core/spmm.h"
@@ -21,26 +24,30 @@
 namespace chason {
 namespace core {
 
-/** Escape a string for inclusion in JSON output. */
-std::string jsonEscape(const std::string &raw);
+/**
+ * Write one report's members into the object @p out has open (cycle
+ * breakdowns use snake_case category keys; cache counters include
+ * both tiers' hit rates).
+ */
+void writeFields(common::JsonWriter &out, const SpmvReport &report);
+void writeFields(common::JsonWriter &out,
+                 const arch::CycleBreakdown &cycles);
+void writeFields(common::JsonWriter &out, const SpmmReport &report);
+void writeFields(common::JsonWriter &out,
+                 const sched::ScheduleStats &stats);
+void writeFields(common::JsonWriter &out,
+                 const ScheduleCacheStats &stats);
+void writeFields(common::JsonWriter &out, const Comparison &comparison);
 
-/** One SpMV report as a JSON object. */
-std::string toJson(const SpmvReport &report);
-
-/** A cycle breakdown as a JSON object (snake_case category keys). */
-std::string toJson(const arch::CycleBreakdown &cycles);
-
-/** One SpMM report as a JSON object. */
-std::string toJson(const SpmmReport &report);
-
-/** Schedule statistics as a JSON object. */
-std::string toJson(const sched::ScheduleStats &stats);
-
-/** Schedule-cache counters as a JSON object. */
-std::string toJson(const ScheduleCacheStats &stats);
-
-/** A Chasoň/Serpens comparison as a JSON object. */
-std::string toJson(const Comparison &comparison);
+/** Any of the reports above as one compact JSON object. */
+template <class Report>
+std::string
+toJson(const Report &report)
+{
+    common::JsonWriter out;
+    out.object([&] { writeFields(out, report); });
+    return out.str();
+}
 
 } // namespace core
 } // namespace chason

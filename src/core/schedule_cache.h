@@ -194,6 +194,16 @@ struct ScheduleCacheStats
             ? 0.0
             : static_cast<double>(hits) / static_cast<double>(total);
     }
+
+    /** diskHits / (diskHits + diskMisses); 0 when the disk tier was
+     *  never probed. */
+    double diskHitRate() const
+    {
+        const std::uint64_t probes = diskHits + diskMisses;
+        return probes == 0
+            ? 0.0
+            : static_cast<double>(diskHits) / static_cast<double>(probes);
+    }
 };
 
 /** Concurrent LRU schedule cache with a byte budget. */

@@ -333,8 +333,9 @@ encodeChannelStream(const Schedule &schedule, std::size_t phase,
 
 /**
  * Inverse of encodeChannelStream: rebuild slots from the wire encoding.
- * Global row/col are reconstructed from (channel, pe, pass, window); used
- * by the simulator's encoded-input mode and by round-trip tests.
+ * Global row/col are reconstructed from (channel, pe, pass, window);
+ * used by the wire-stream file reader (sched/schedule_io) and by
+ * round-trip tests.
  */
 ChannelWindowSchedule
 decodeChannelStream(const SchedConfig &config,

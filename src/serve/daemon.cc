@@ -6,7 +6,6 @@
 #include "serve/daemon.h"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <deque>
 #include <utility>
@@ -418,81 +417,46 @@ Daemon::statsJson() const
     const double uptime = now();
 
     common::MutexLock lock(statsMutex_);
-    const bool haveLatency = !latency_.empty();
-    char buffer[1024];
-    std::string json = "{";
-    std::snprintf(buffer, sizeof(buffer),
-                  "\"uptime_s\":%.3f,\"workers\":%u,", uptime,
-                  engine_.workers());
-    json += buffer;
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "\"requests\":{\"received\":%llu,\"served\":%llu,"
-        "\"bad_request\":%llu,\"over_budget\":%llu,"
-        "\"queue_full\":%llu,\"shutting_down\":%llu},",
-        static_cast<unsigned long long>(received_),
-        static_cast<unsigned long long>(served_),
-        static_cast<unsigned long long>(badRequests_),
-        static_cast<unsigned long long>(rejectedOverBudget_),
-        static_cast<unsigned long long>(rejectedQueueFull_),
-        static_cast<unsigned long long>(rejectedShutdown_));
-    json += buffer;
+    // Guarded members are written outside lambdas: the thread-safety
+    // analysis cannot see that a lambda body runs under statsMutex_.
+    common::JsonWriter out;
+    out.beginObject();
+    out.field("uptime_s", uptime).field("workers", engine_.workers());
+    out.key("requests").beginObject();
+    out.field("received", received_)
+        .field("served", served_)
+        .field("bad_request", badRequests_)
+        .field("over_budget", rejectedOverBudget_)
+        .field("queue_full", rejectedQueueFull_)
+        .field("shutting_down", rejectedShutdown_);
+    out.endObject();
     // An idle daemon reports zeros: percentile() on an empty set is a
     // programmer error by contract, and a stats probe must never be.
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "\"latency_ms\":{\"count\":%zu,\"mean\":%.6g,\"min\":%.6g,"
-        "\"max\":%.6g,\"p50\":%.6g,\"p95\":%.6g,\"p99\":%.6g},",
-        latency_.count(), haveLatency ? latency_.mean() : 0.0,
-        haveLatency ? latency_.min() : 0.0,
-        haveLatency ? latency_.max() : 0.0,
-        haveLatency ? latency_.percentile(50.0) : 0.0,
-        haveLatency ? latency_.percentile(95.0) : 0.0,
-        haveLatency ? latency_.percentile(99.0) : 0.0);
-    json += buffer;
-    std::snprintf(buffer, sizeof(buffer),
-                  "\"queue\":{\"depth\":%zu,\"max_depth\":%zu,"
-                  "\"capacity\":%zu},",
-                  queueDepth, queueMaxDepth, options_.queueCapacity);
-    json += buffer;
-    const std::uint64_t diskProbes = cache.diskHits + cache.diskMisses;
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "\"cache\":{\"hits\":%llu,\"misses\":%llu,\"hit_rate\":%.6g,"
-        "\"disk_hits\":%llu,\"disk_misses\":%llu,"
-        "\"disk_hit_rate\":%.6g,\"persisted\":%llu,\"corrupt\":%llu,"
-        "\"evictions\":%llu,\"entries\":%zu,\"bytes\":%zu,"
-        "\"budget_bytes\":%zu,\"plans_built\":%llu,"
-        "\"plan_bytes\":%zu},",
-        static_cast<unsigned long long>(cache.hits),
-        static_cast<unsigned long long>(cache.misses), cache.hitRate(),
-        static_cast<unsigned long long>(cache.diskHits),
-        static_cast<unsigned long long>(cache.diskMisses),
-        diskProbes > 0
-            ? static_cast<double>(cache.diskHits) /
-                static_cast<double>(diskProbes)
-            : 0.0,
-        static_cast<unsigned long long>(cache.persisted),
-        static_cast<unsigned long long>(cache.corrupt),
-        static_cast<unsigned long long>(cache.evictions),
-        cache.entries, cache.bytes, cache.budgetBytes,
-        static_cast<unsigned long long>(cache.plansBuilt),
-        cache.planBytes);
-    json += buffer;
-    json += "\"tenants\":{";
-    bool first = true;
+    const bool haveLatency = !latency_.empty();
+    out.key("latency_ms").beginObject();
+    out.field("count", latency_.count())
+        .field("mean", haveLatency ? latency_.mean() : 0.0)
+        .field("min", haveLatency ? latency_.min() : 0.0)
+        .field("max", haveLatency ? latency_.max() : 0.0)
+        .field("p50", haveLatency ? latency_.percentile(50.0) : 0.0)
+        .field("p95", haveLatency ? latency_.percentile(95.0) : 0.0)
+        .field("p99", haveLatency ? latency_.percentile(99.0) : 0.0);
+    out.endObject();
+    out.object("queue", [&] {
+        out.field("depth", queueDepth)
+            .field("max_depth", queueMaxDepth)
+            .field("capacity", options_.queueCapacity);
+    });
+    out.object("cache", [&] { core::writeFields(out, cache); });
+    out.key("tenants").beginObject();
     for (const auto &entry : tenants_) {
-        std::snprintf(
-            buffer, sizeof(buffer),
-            "%s\"%s\":{\"served\":%llu,\"rejected\":%llu}",
-            first ? "" : ",", core::jsonEscape(entry.first).c_str(),
-            static_cast<unsigned long long>(entry.second.served),
-            static_cast<unsigned long long>(entry.second.rejected));
-        json += buffer;
-        first = false;
+        out.key(entry.first).beginObject();
+        out.field("served", entry.second.served)
+            .field("rejected", entry.second.rejected);
+        out.endObject();
     }
-    json += "}}";
-    return json;
+    out.endObject();
+    return out.endObject().str();
 }
 
 void

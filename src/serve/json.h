@@ -1,78 +1,19 @@
 /**
  * @file
- * Minimal JSON parser for the serving protocol.
- *
- * The daemon speaks newline-delimited JSON (docs/SERVING.md); requests
- * are small flat objects, so the parser is deliberately tiny — no
- * external dependency, mirroring core/report_json.h on the emit side.
- * It accepts strict RFC 8259 input (objects, arrays, strings with
- * escapes, numbers, booleans, null), rejects trailing garbage, and
- * caps nesting depth so hostile input cannot blow the stack.
- *
- * Numbers are held as double: every id/seed the protocol carries fits
- * in the 53-bit exact-integer range.
+ * The serving protocol's JSON names: the parser lives in common/json.h
+ * and is shared with every other reader in the repository.
  */
 
 #ifndef CHASON_SERVE_JSON_H_
 #define CHASON_SERVE_JSON_H_
 
-#include <cstdint>
-#include <string>
-#include <utility>
-#include <vector>
+#include "common/json.h"
 
 namespace chason {
 namespace serve {
 
-/** One parsed JSON value; a tagged tree. */
-class JsonValue
-{
-  public:
-    enum class Type
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object,
-    };
-
-    Type type = Type::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string text;
-    std::vector<JsonValue> items;                          ///< Array
-    std::vector<std::pair<std::string, JsonValue>> members; ///< Object
-
-    bool isNull() const { return type == Type::Null; }
-    bool isBool() const { return type == Type::Bool; }
-    bool isNumber() const { return type == Type::Number; }
-    bool isString() const { return type == Type::String; }
-    bool isArray() const { return type == Type::Array; }
-    bool isObject() const { return type == Type::Object; }
-
-    /** Member lookup (first match); null when absent or not an object. */
-    const JsonValue *find(const std::string &key) const;
-
-    /**
-     * The member as a non-negative integer: present, a number, whole,
-     * and in [0, 2^53]. Returns false (leaving @p out untouched) for
-     * anything else — protocol fields must not round silently.
-     */
-    bool getUint(const std::string &key, std::uint64_t &out) const;
-
-    /** The member as a string; false when absent or not a string. */
-    bool getString(const std::string &key, std::string &out) const;
-};
-
-/**
- * Parse @p text (one complete JSON document) into @p out. On failure
- * returns false and puts a human-readable reason with a byte offset
- * into @p error.
- */
-bool parseJson(const std::string &text, JsonValue &out,
-               std::string &error);
+using JsonValue = common::JsonValue;
+using common::parseJson;
 
 } // namespace serve
 } // namespace chason

@@ -8,7 +8,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "core/report_json.h"
 #include "serve/json.h"
 
 namespace chason {
@@ -259,37 +258,52 @@ vectorDigest(const std::vector<float> &y)
 }
 
 std::string
+digestHex(std::uint64_t digest)
+{
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016" PRIx64, digest);
+    return hex;
+}
+
+std::string
 resultResponse(const Request &request, const core::SpmvReport &report,
                std::uint64_t ydigest, double serviceMs)
 {
-    char buffer[512];
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "{\"id\":%" PRIu64 ",\"ok\":true,\"dataset\":\"%s\","
-        "\"accelerator\":\"%s\",\"rows\":%" PRIu32 ",\"cols\":%" PRIu32
-        ",\"nnz\":%zu,\"cycles\":%" PRIu64
-        ",\"latency_ms\":%.17g,\"gflops\":%.17g,"
-        "\"functional_error\":%.17g,\"ydigest\":\"%016" PRIx64
-        "\",\"service_ms\":%.3f}",
-        request.id, core::jsonEscape(report.dataset).c_str(),
-        core::jsonEscape(report.accelerator).c_str(), report.rows,
-        report.cols, report.nnz, report.cycles, report.latencyMs,
-        report.gflops, report.functionalError, ydigest, serviceMs);
-    return buffer;
+    common::JsonWriter out;
+    out.object([&] {
+        out.field("id", request.id)
+            .field("ok", true)
+            .field("dataset", report.dataset)
+            .field("accelerator", report.accelerator)
+            .field("rows", report.rows)
+            .field("cols", report.cols)
+            .field("nnz", report.nnz)
+            .field("cycles", report.cycles)
+            .field("latency_ms", report.latencyMs)
+            .field("gflops", report.gflops)
+            .field("functional_error", report.functionalError)
+            .field("ydigest", digestHex(ydigest))
+            .field("service_ms", serviceMs);
+    });
+    return out.str();
 }
 
 std::string
 errorResponse(bool hasId, std::uint64_t id, const char *errorType,
               const std::string &detail)
 {
-    std::string line = "{\"id\":";
-    line += hasId ? std::to_string(id) : "null";
-    line += ",\"ok\":false,\"error\":\"";
-    line += errorType;
-    line += "\",\"detail\":\"";
-    line += core::jsonEscape(detail);
-    line += "\"}";
-    return line;
+    common::JsonWriter out;
+    out.object([&] {
+        out.key("id");
+        if (hasId)
+            out.value(id);
+        else
+            out.null();
+        out.field("ok", false)
+            .field("error", errorType)
+            .field("detail", detail);
+    });
+    return out.str();
 }
 
 } // namespace serve

@@ -94,6 +94,9 @@ bool parseRequest(const std::string &line, Request &out,
 /** FNV-1a over the raw float bits — the response's y-vector digest. */
 std::uint64_t vectorDigest(const std::vector<float> &y);
 
+/** @p digest as the 16 lowercase hex digits of "ydigest". */
+std::string digestHex(std::uint64_t digest);
+
 /** Render a result response line (no trailing newline). */
 std::string resultResponse(const Request &request,
                            const core::SpmvReport &report,

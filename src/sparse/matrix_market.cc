@@ -125,7 +125,8 @@ readMatrixMarket(std::istream &in)
             // and "inf", which libstdc++ streams refuse to parse at
             // all. Accept the spelling, then reject the value — a
             // non-finite entry would silently poison every partial sum
-            // its row touches.
+            // its row touches. The check is on the float the matrix
+            // stores: a finite double such as 1e39 overflows to inf.
             std::string token;
             if (!(in >> token))
                 chason_fatal("matrix market: missing value at entry %lld",
@@ -135,7 +136,7 @@ readMatrixMarket(std::istream &in)
             if (end == token.c_str() || *end != '\0')
                 chason_fatal("matrix market: bad value '%s' at entry %lld",
                              token.c_str(), i);
-            if (!std::isfinite(v))
+            if (!std::isfinite(static_cast<float>(v)))
                 chason_fatal("matrix market: non-finite value '%s' at "
                              "entry %lld", token.c_str(), i);
         }

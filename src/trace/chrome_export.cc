@@ -5,10 +5,8 @@
 
 #include "trace/chrome_export.h"
 
-#include <cstdio>
 #include <fstream>
 #include <set>
-#include <sstream>
 
 #include "common/logging.h"
 
@@ -20,67 +18,18 @@ namespace {
 constexpr int kDevicePid = 1;
 constexpr int kHostPid = 2;
 
-/** JSON string escaping (same contract as core::jsonEscape; duplicated
- *  because the trace library sits below core). */
-std::string
-escape(const std::string &raw)
-{
-    std::string out;
-    out.reserve(raw.size());
-    for (unsigned char c : raw) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
-    return out;
-}
-
+/** One "M" (metadata) event naming a process or, with tid >= 0, a
+ *  thread. */
 void
-appendNumber(std::string &out, double value)
+writeMetadata(common::JsonWriter &out, const char *kind, int pid,
+              long long tid, const std::string &name)
 {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.9g", value);
-    out += buf;
-}
-
-void
-appendMetadata(std::string &out, const char *kind, int pid, int tid,
-               const std::string &name, bool &first)
-{
-    if (!first)
-        out += ',';
-    first = false;
-    char buf[64];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"%s\",\"ph\":\"M\",\"pid\":%d,", kind, pid);
-    out += buf;
-    if (tid >= 0) {
-        std::snprintf(buf, sizeof(buf), "\"tid\":%d,", tid);
-        out += buf;
-    }
-    out += "\"args\":{\"name\":\"" + escape(name) + "\"}}";
+    out.object([&] {
+        out.field("name", kind).field("ph", "M").field("pid", pid);
+        if (tid >= 0)
+            out.field("tid", tid);
+        out.object("args", [&] { out.field("name", name); });
+    });
 }
 
 std::string
@@ -88,9 +37,7 @@ deviceTrackName(std::uint32_t track)
 {
     if (track == kTrackSequencer)
         return "sequencer";
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "PEG %u", track);
-    return buf;
+    return "PEG " + std::to_string(track);
 }
 
 } // namespace
@@ -102,97 +49,63 @@ chromeTraceJson(const TraceSink &sink)
     const auto instants = sink.instants();
     const auto samples = sink.samples();
 
-    std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    bool first = true;
-
-    appendMetadata(out, "process_name", kDevicePid, -1,
-                   "chason device (1 us = 1 kernel cycle)", first);
-    appendMetadata(out, "process_name", kHostPid, -1, "chason host",
-                   first);
-
     std::set<std::uint32_t> device_tracks, host_tracks;
     for (const SpanEvent &s : spans)
         (s.device ? device_tracks : host_tracks).insert(s.track);
     for (const InstantEvent &i : instants)
         host_tracks.insert(i.track);
-    for (std::uint32_t t : device_tracks) {
-        appendMetadata(out, "thread_name", kDevicePid,
-                       static_cast<int>(t == kTrackSequencer ? 0xffff : t),
-                       deviceTrackName(t), first);
-    }
-    for (std::uint32_t t : host_tracks) {
-        char name[24];
-        std::snprintf(name, sizeof(name), "host thread %u", t);
-        appendMetadata(out, "thread_name", kHostPid, static_cast<int>(t),
-                       name, first);
-    }
 
-    for (const SpanEvent &s : spans) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += "{\"ph\":\"X\",\"name\":\"" + escape(s.name) +
-            "\",\"cat\":\"";
-        out += categoryName(s.cat);
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "\",\"pid\":%d,\"tid\":%u,",
-                      s.device ? kDevicePid : kHostPid, s.track);
-        out += buf;
-        out += "\"ts\":";
-        appendNumber(out, s.begin);
-        out += ",\"dur\":";
-        appendNumber(out, s.dur);
-        if (s.argName0) {
-            out += ",\"args\":{\"";
-            out += s.argName0;
-            out += "\":";
-            appendNumber(out, static_cast<double>(s.argVal0));
-            if (s.argName1) {
-                out += ",\"";
-                out += s.argName1;
-                out += "\":";
-                appendNumber(out, static_cast<double>(s.argVal1));
+    common::JsonWriter out;
+    out.object([&] {
+        out.field("displayTimeUnit", "ms");
+        out.array("traceEvents", [&] {
+            writeMetadata(out, "process_name", kDevicePid, -1,
+                          "chason device (1 us = 1 kernel cycle)");
+            writeMetadata(out, "process_name", kHostPid, -1,
+                          "chason host");
+            for (std::uint32_t t : device_tracks)
+                writeMetadata(out, "thread_name", kDevicePid, t,
+                              deviceTrackName(t));
+            for (std::uint32_t t : host_tracks)
+                writeMetadata(out, "thread_name", kHostPid, t,
+                              "host thread " + std::to_string(t));
+
+            for (const SpanEvent &s : spans) {
+                out.object([&] {
+                    out.field("ph", "X").field("name", s.name);
+                    out.field("cat", categoryName(s.cat))
+                        .field("pid", s.device ? kDevicePid : kHostPid)
+                        .field("tid", s.track);
+                    out.field("ts", s.begin).field("dur", s.dur);
+                    if (s.argName0) {
+                        out.object("args", [&] {
+                            out.field(s.argName0, s.argVal0);
+                            if (s.argName1)
+                                out.field(s.argName1, s.argVal1);
+                        });
+                    }
+                });
             }
-            out += '}';
-        }
-        out += '}';
-    }
 
-    for (const InstantEvent &i : instants) {
-        if (!first)
-            out += ',';
-        first = false;
-        char buf[64];
-        std::snprintf(buf, sizeof(buf),
-                      "\",\"s\":\"t\",\"pid\":%d,\"tid\":%u,\"ts\":",
-                      kHostPid, i.track);
-        out += "{\"ph\":\"i\",\"name\":\"" + escape(i.name) + buf;
-        appendNumber(out, i.tsUs);
-        out += '}';
-    }
+            for (const InstantEvent &i : instants) {
+                out.object([&] {
+                    out.field("ph", "i").field("name", i.name);
+                    out.field("s", "t").field("pid", kHostPid);
+                    out.field("tid", i.track).field("ts", i.tsUs);
+                });
+            }
 
-    for (const CounterSample &c : samples) {
-        if (!first)
-            out += ',';
-        first = false;
-        char buf[48];
-        std::snprintf(buf, sizeof(buf),
-                      "\",\"pid\":%d,\"tid\":0,\"ts\":", kHostPid);
-        out += "{\"ph\":\"C\",\"name\":\"" + escape(c.name) + buf;
-        appendNumber(out, c.tsUs);
-        out += ",\"args\":{\"value\":";
-        appendNumber(out, c.value);
-        out += "}}";
-    }
-
-    out += "]}";
-    return out;
-}
-
-void
-writeChromeTrace(const TraceSink &sink, std::ostream &out)
-{
-    out << chromeTraceJson(sink);
+            for (const CounterSample &c : samples) {
+                out.object([&] {
+                    out.field("ph", "C").field("name", c.name);
+                    out.field("pid", kHostPid).field("tid", 0);
+                    out.field("ts", c.tsUs);
+                    out.object("args", [&] { out.field("value", c.value); });
+                });
+            }
+        });
+    });
+    return out.str();
 }
 
 void
@@ -201,52 +114,36 @@ writeChromeTraceFile(const TraceSink &sink, const std::string &path)
     std::ofstream out(path);
     if (!out)
         chason_fatal("cannot create trace file '%s'", path.c_str());
-    writeChromeTrace(sink, out);
+    out << chromeTraceJson(sink);
     if (!out.good())
         chason_fatal("failed writing trace file '%s'", path.c_str());
+}
+
+void
+writeCounters(common::JsonWriter &out, const TraceSink &sink)
+{
+    out.object("counters", [&] {
+        for (const auto &[name, value] : sink.counters())
+            out.field(name, value);
+    });
+    out.object("category_cycles", [&] {
+        for (const auto &[name, value] : sink.categoryCycles())
+            out.field(name, value);
+    });
+    out.array("peg_matrix_stream_cycles", [&] {
+        for (const auto &[track, value] : sink.pegStreamCycles()) {
+            (void)track;
+            out.value(value);
+        }
+    });
 }
 
 std::string
 countersJson(const TraceSink &sink)
 {
-    std::string out = "{\"counters\":{";
-    bool first = true;
-    for (const auto &[name, value] : sink.counters()) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"' + escape(name) + "\":";
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%llu",
-                      static_cast<unsigned long long>(value));
-        out += buf;
-    }
-    out += "},\"category_cycles\":{";
-    first = true;
-    for (const auto &[name, value] : sink.categoryCycles()) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"' + escape(name) + "\":";
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%llu",
-                      static_cast<unsigned long long>(value));
-        out += buf;
-    }
-    out += "},\"peg_matrix_stream_cycles\":[";
-    first = true;
-    for (const auto &[track, value] : sink.pegStreamCycles()) {
-        (void)track;
-        if (!first)
-            out += ',';
-        first = false;
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%llu",
-                      static_cast<unsigned long long>(value));
-        out += buf;
-    }
-    out += "]}";
-    return out;
+    common::JsonWriter out;
+    out.object([&] { writeCounters(out, sink); });
+    return out.str();
 }
 
 } // namespace trace

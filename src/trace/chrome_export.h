@@ -14,9 +14,9 @@
 #ifndef CHASON_TRACE_CHROME_EXPORT_H_
 #define CHASON_TRACE_CHROME_EXPORT_H_
 
-#include <iosfwd>
 #include <string>
 
+#include "common/json.h"
 #include "trace/trace.h"
 
 namespace chason {
@@ -25,17 +25,17 @@ namespace trace {
 /** The complete Chrome trace_event JSON document for @p sink. */
 std::string chromeTraceJson(const TraceSink &sink);
 
-/** Stream chromeTraceJson(@p sink) to @p out. */
-void writeChromeTrace(const TraceSink &sink, std::ostream &out);
-
 /** Write the Chrome trace to @p path; fatal() when unwritable. */
 void writeChromeTraceFile(const TraceSink &sink, const std::string &path);
 
 /**
- * Flat counters object: {"counters": {...}, "category_cycles": {...},
- * "peg_matrix_stream_cycles": [...]} — raw JSON suitable for embedding
- * in a report object.
+ * The flat counters members — "counters": {...}, "category_cycles":
+ * {...}, "peg_matrix_stream_cycles": [...] — written into the object
+ * @p out has open, for embedding in a report object.
  */
+void writeCounters(common::JsonWriter &out, const TraceSink &sink);
+
+/** writeCounters() as one compact JSON object. */
 std::string countersJson(const TraceSink &sink);
 
 } // namespace trace

@@ -2,9 +2,9 @@
  * @file
  * SARIF 2.1.0 writer.
  *
- * Hand-rolled JSON emission in the repo's report_json tradition: the
- * document shape is fixed, so a serializer dependency would buy
- * nothing. Property order follows the SARIF spec's examples.
+ * Rendered with common::JsonWriter in its multi-line layout (the
+ * committed lint baseline is read as a diff). Property order follows
+ * the SARIF spec's examples.
  */
 
 #include "verify/sarif.h"
@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "common/buildinfo.h"
+#include "common/json.h"
 #include "verify/rules.h"
 
 namespace chason {
@@ -26,6 +27,7 @@ constexpr const char *kToolName = "chason_verify";
 constexpr const char *kToolVersion = "1.0.0";
 constexpr const char *kInfoUri =
     "https://github.com/chason-sim/chason";
+constexpr const char *kFingerprintKey = "chasonLint/v1";
 
 std::string
 uriEscape(const std::string &uri)
@@ -41,158 +43,90 @@ uriEscape(const std::string &uri)
     return out;
 }
 
+/** One result's members. */
 void
-appendQuoted(std::string &out, const std::string &text)
+writeFinding(common::JsonWriter &out, const SarifRun &run,
+             const SarifFinding &f)
 {
-    out += '"';
-    out += jsonEscape(text);
-    out += '"';
+    out.field("ruleId", f.ruleId);
+    const int index = run.ruleIndexOf(f.ruleId);
+    if (index >= 0)
+        out.field("ruleIndex", index);
+    out.field("level", f.level);
+    out.object("message", [&] { out.field("text", f.message); });
+    out.array("locations", [&] {
+        out.object([&] {
+            out.object("physicalLocation", [&] {
+                out.object("artifactLocation",
+                           [&] { out.field("uri", uriEscape(f.uri)); });
+                if (f.line > 0) {
+                    out.object("region", [&] {
+                        out.field("startLine", f.line);
+                        if (f.column > 0)
+                            out.field("startColumn", f.column);
+                    });
+                }
+            });
+            if (!f.logicalName.empty()) {
+                out.array("logicalLocations", [&] {
+                    out.object([&] {
+                        out.field("fullyQualifiedName", f.logicalName);
+                    });
+                });
+            }
+        });
+    });
+    if (!f.fingerprint.empty()) {
+        out.object("partialFingerprints", [&] {
+            out.field(kFingerprintKey, f.fingerprint);
+        });
+    }
 }
 
-/** One run object at the fixed "    " indent of the runs array. */
+/** One run object's members: tool.driver with its rule table, then
+ *  results. */
 void
-emitRun(std::string &out, const SarifRun &run)
+writeRun(common::JsonWriter &out, const SarifRun &run)
 {
-    out += "    {\n";
-
-    // tool.driver with the embedded rule table.
-    out += "      \"tool\": {\n        \"driver\": {\n";
-    out += "          \"name\": ";
-    appendQuoted(out, run.toolName);
-    if (!run.toolVersion.empty()) {
-        out += ",\n          \"version\": ";
-        appendQuoted(out, run.toolVersion);
-    }
-    if (!run.semanticVersion.empty()) {
-        out += ",\n          \"semanticVersion\": ";
-        appendQuoted(out, run.semanticVersion);
-    }
-    if (!run.informationUri.empty()) {
-        out += ",\n          \"informationUri\": ";
-        appendQuoted(out, run.informationUri);
-    }
-    if (!run.revision.empty()) {
-        out += ",\n          \"properties\": {\"revision\": ";
-        appendQuoted(out, run.revision);
-        out += "}";
-    }
-    out += ",\n          \"rules\": [\n";
-    for (std::size_t i = 0; i < run.rules.size(); ++i) {
-        const SarifRule &r = run.rules[i];
-        out += "            {\n              \"id\": ";
-        appendQuoted(out, r.id);
-        out += ",\n              \"name\": ";
-        appendQuoted(out, r.name);
-        out += ",\n              \"shortDescription\": {\"text\": ";
-        appendQuoted(out, r.shortDescription);
-        out += "},\n              \"fullDescription\": {\"text\": ";
-        appendQuoted(out, r.fullDescription.empty() ? r.shortDescription
-                                                    : r.fullDescription);
-        out += "},\n              \"defaultConfiguration\": "
-               "{\"level\": ";
-        appendQuoted(out, r.level);
-        out += "}\n            }";
-        out += i + 1 < run.rules.size() ? ",\n" : "\n";
-    }
-    out += "          ]\n        }\n      },\n";
-
-    // results.
-    if (run.results.empty()) {
-        out += "      \"results\": []\n    }";
-        return;
-    }
-    out += "      \"results\": [\n";
-    for (std::size_t i = 0; i < run.results.size(); ++i) {
-        const SarifFinding &f = run.results[i];
-        out += "        {\n          \"ruleId\": ";
-        appendQuoted(out, f.ruleId);
-        const int index = run.ruleIndexOf(f.ruleId);
-        if (index >= 0) {
-            char buf[48];
-            std::snprintf(buf, sizeof(buf),
-                          ",\n          \"ruleIndex\": %d", index);
-            out += buf;
-        }
-        out += ",\n          \"level\": ";
-        appendQuoted(out, f.level);
-        out += ",\n          \"message\": {\"text\": ";
-        appendQuoted(out, f.message);
-        out += "},\n          \"locations\": [\n            {\n";
-        out += "              \"physicalLocation\": {\n";
-        out += "                \"artifactLocation\": {\"uri\": ";
-        appendQuoted(out, uriEscape(f.uri));
-        out += "}";
-        if (f.line > 0) {
-            char buf[96];
-            if (f.column > 0) {
-                std::snprintf(buf, sizeof(buf),
-                              ",\n                \"region\": "
-                              "{\"startLine\": %d, \"startColumn\": %d}",
-                              f.line, f.column);
-            } else {
-                std::snprintf(buf, sizeof(buf),
-                              ",\n                \"region\": "
-                              "{\"startLine\": %d}",
-                              f.line);
+    out.object("tool", [&] {
+        out.object("driver", [&] {
+            out.field("name", run.toolName);
+            if (!run.toolVersion.empty())
+                out.field("version", run.toolVersion);
+            if (!run.semanticVersion.empty())
+                out.field("semanticVersion", run.semanticVersion);
+            if (!run.informationUri.empty())
+                out.field("informationUri", run.informationUri);
+            if (!run.revision.empty()) {
+                out.object("properties",
+                           [&] { out.field("revision", run.revision); });
             }
-            out += buf;
-        }
-        out += "\n              }";
-        if (!f.logicalName.empty()) {
-            out += ",\n              \"logicalLocations\": [\n";
-            out += "                {\"fullyQualifiedName\": ";
-            appendQuoted(out, f.logicalName);
-            out += "}\n              ]";
-        }
-        out += "\n            }\n          ]";
-        if (!f.fingerprint.empty()) {
-            out += ",\n          \"partialFingerprints\": "
-                   "{\"chasonLint/v1\": ";
-            appendQuoted(out, f.fingerprint);
-            out += "}";
-        }
-        out += "\n        }";
-        out += i + 1 < run.results.size() ? ",\n" : "\n";
-    }
-    out += "      ]\n    }";
+            out.array("rules", [&] {
+                for (const SarifRule &r : run.rules) {
+                    out.object([&] {
+                        out.field("id", r.id).field("name", r.name);
+                        out.object("shortDescription", [&] {
+                            out.field("text", r.shortDescription);
+                        });
+                        out.object("fullDescription", [&] {
+                            out.field("text", r.fullDescription.empty()
+                                                  ? r.shortDescription
+                                                  : r.fullDescription);
+                        });
+                        out.object("defaultConfiguration",
+                                   [&] { out.field("level", r.level); });
+                    });
+                }
+            });
+        });
+    });
+    out.array("results", [&] {
+        for (const SarifFinding &f : run.results)
+            out.object([&] { writeFinding(out, run, f); });
+    });
 }
 
 } // namespace
-
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size() + 8);
-    for (unsigned char c : text) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
-    return out;
-}
 
 int
 SarifRun::addRule(const SarifRule &rule)
@@ -226,18 +160,15 @@ SarifDocument::resultCount() const
 std::string
 SarifDocument::toJson() const
 {
-    std::string out;
-    out.reserve(4096 + resultCount() * 256);
-    out += "{\n";
-    out += "  \"$schema\": \"";
-    out += kSchemaUri;
-    out += "\",\n  \"version\": \"2.1.0\",\n  \"runs\": [\n";
-    for (std::size_t i = 0; i < runs_.size(); ++i) {
-        emitRun(out, runs_[i]);
-        out += i + 1 < runs_.size() ? ",\n" : "\n";
-    }
-    out += "  ]\n}\n";
-    return out;
+    common::JsonWriter out(common::JsonWriter::Layout::MultiLine);
+    out.object([&] {
+        out.field("$schema", kSchemaUri).field("version", "2.1.0");
+        out.array("runs", [&] {
+            for (const SarifRun &run : runs_)
+                out.object([&] { writeRun(out, run); });
+        });
+    });
+    return out.str() + "\n";
 }
 
 void
@@ -314,15 +245,25 @@ std::vector<std::string>
 sarifFingerprints(const std::string &sarifJson)
 {
     std::vector<std::string> out;
-    const std::string needle = "\"chasonLint/v1\": \"";
-    std::size_t pos = 0;
-    while ((pos = sarifJson.find(needle, pos)) != std::string::npos) {
-        pos += needle.size();
-        const std::size_t end = sarifJson.find('"', pos);
-        if (end == std::string::npos)
-            break;
-        out.push_back(sarifJson.substr(pos, end - pos));
-        pos = end + 1;
+    common::JsonValue doc;
+    std::string error;
+    if (!common::parseJson(sarifJson, doc, error))
+        return out;
+    const common::JsonValue *runs = doc.find("runs");
+    if (runs == nullptr)
+        return out;
+    for (const common::JsonValue &run : runs->items) {
+        const common::JsonValue *results = run.find("results");
+        if (results == nullptr)
+            continue;
+        for (const common::JsonValue &result : results->items) {
+            const common::JsonValue *fingerprints =
+                result.find("partialFingerprints");
+            std::string value;
+            if (fingerprints != nullptr &&
+                fingerprints->getString(kFingerprintKey, value))
+                out.push_back(std::move(value));
+        }
     }
     return out;
 }

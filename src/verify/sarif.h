@@ -26,8 +26,8 @@
  * Baseline diffs compare fingerprints, not documents: lintFingerprint
  * hashes (ruleId, uri, message) — deliberately not the line number, so
  * unrelated edits that shift a finding a few lines do not churn the
- * baseline — and sarifFingerprints extracts the set back out of a
- * stored document without needing a JSON parser.
+ * baseline — and sarifFingerprints parses the set back out of a
+ * stored document.
  */
 
 #ifndef CHASON_VERIFY_SARIF_H_
@@ -141,9 +141,6 @@ class SarifLog
     std::vector<Entry> results_;
 };
 
-/** Escape a string for embedding in a JSON string literal. */
-std::string jsonEscape(const std::string &text);
-
 /**
  * Stable finding identity for baseline diffs: FNV-1a 64 over
  * "ruleId|uri|message", rendered as 16 hex digits. Line numbers are
@@ -155,9 +152,9 @@ std::string lintFingerprint(const std::string &ruleId,
                             const std::string &message);
 
 /**
- * Every "chasonLint/v1" partialFingerprint value in @p sarifJson, in
- * document order (duplicates preserved). A targeted scan, not a JSON
- * parse — the emitter above is the only producer of these documents.
+ * Every result's "chasonLint/v1" partialFingerprint value in
+ * @p sarifJson, in document order (duplicates preserved); empty when
+ * the document does not parse.
  */
 std::vector<std::string> sarifFingerprints(const std::string &sarifJson);
 

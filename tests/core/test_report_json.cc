@@ -26,66 +26,6 @@ smallConfig()
     return cfg;
 }
 
-TEST(JsonEscape, HandlesSpecials)
-{
-    EXPECT_EQ(jsonEscape("plain"), "plain");
-    EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
-    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
-    EXPECT_EQ(jsonEscape("a\nb\tc"), "a\\nb\\tc");
-    EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\\u0001");
-}
-
-/** Inverse of jsonEscape for the escapes it emits, to prove the
- *  escaping is lossless rather than merely parseable. */
-std::string
-jsonUnescape(const std::string &escaped)
-{
-    std::string out;
-    for (std::size_t i = 0; i < escaped.size(); ++i) {
-        if (escaped[i] != '\\') {
-            out += escaped[i];
-            continue;
-        }
-        const char next = escaped[++i];
-        switch (next) {
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case 'u': {
-            const unsigned code = static_cast<unsigned>(
-                std::stoul(escaped.substr(i + 1, 4), nullptr, 16));
-            out += static_cast<char>(code);
-            i += 4;
-            break;
-          }
-          default: ADD_FAILURE() << "unknown escape \\" << next;
-        }
-    }
-    return out;
-}
-
-TEST(JsonEscape, ControlCharactersRoundTrip)
-{
-    // Every byte below 0x20 must come back bit-identical, whether it
-    // uses a short escape (\n, \t, \r) or \uXXXX.
-    std::string raw = "a\nb\tc\x01d";
-    raw += '\x1f';
-    raw += '\0';
-    raw += '\x0b';
-    EXPECT_EQ(jsonUnescape(jsonEscape(raw)), raw);
-
-    std::string all;
-    for (int c = 0; c < 0x20; ++c)
-        all += static_cast<char>(c);
-    const std::string escaped = jsonEscape(all);
-    // Escaped form itself contains no raw control bytes.
-    for (char c : escaped)
-        EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
-    EXPECT_EQ(jsonUnescape(escaped), all);
-}
-
 TEST(ToJson, SpmvReportFields)
 {
     Rng rng(1);

@@ -239,6 +239,27 @@ TEST(MatrixMarketDeath, RejectsInfValue)
                 "non-finite");
 }
 
+TEST(MatrixMarketDeath, RejectsValueBeyondFloatRange)
+{
+    // Finite as a double, inf once stored as the matrix's float.
+    std::istringstream in(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 2 1\n"
+        "1 1 -1e39\n");
+    EXPECT_EXIT(readMatrixMarket(in), ::testing::ExitedWithCode(1),
+                "non-finite");
+}
+
+TEST(MatrixMarket, LargestFloatIsAccepted)
+{
+    std::istringstream in(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 2 1\n"
+        "1 1 3.4028234e38\n");
+    const CooMatrix coo = readMatrixMarket(in);
+    EXPECT_EQ(coo.nnz(), 1u);
+}
+
 TEST(MatrixMarket, WriteReadRoundTrip)
 {
     CooMatrix coo(4, 5);

@@ -1,16 +1,17 @@
 /**
  * @file
  * Tests for the SARIF 2.1.0 exporter: document structure, rule catalog
- * embedding, result attribution and JSON string escaping. Assertions
- * are substring-based — the repo deliberately has no JSON parser — but
- * run_all.sh additionally validates the emitted file with python3's
- * json module when available.
+ * embedding and result attribution, asserted on the parsed document
+ * (common::parseJson), so the layout's whitespace is free to change.
+ * run_all.sh additionally validates emitted files with python3's json
+ * module when available.
  */
 
 #include "verify/sarif.h"
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "sched/crhcs.h"
 #include "sparse/generators.h"
@@ -20,6 +21,45 @@
 namespace chason {
 namespace verify {
 namespace {
+
+using common::JsonValue;
+
+/** @p json parsed; an unparsable document fails the test. */
+JsonValue
+parsed(const std::string &json)
+{
+    JsonValue doc;
+    std::string error;
+    EXPECT_TRUE(common::parseJson(json, doc, error)) << error;
+    return doc;
+}
+
+/** The string at @p key of @p object, or "" when absent. */
+std::string
+text(const JsonValue *object, const std::string &key)
+{
+    std::string out;
+    if (object != nullptr)
+        object->getString(key, out);
+    return out;
+}
+
+/** runs[0] of a parsed document (an empty object when absent). */
+const JsonValue &
+firstRun(const JsonValue &doc)
+{
+    static const JsonValue kNone;
+    const JsonValue *runs = doc.find("runs");
+    return runs != nullptr && !runs->items.empty() ? runs->items[0]
+                                                   : kNone;
+}
+
+const JsonValue *
+driverOf(const JsonValue &run)
+{
+    const JsonValue *tool = run.find("tool");
+    return tool != nullptr ? tool->find("driver") : nullptr;
+}
 
 VerifyResult
 corruptedResult(const sparse::CsrMatrix &a, Corruption kind)
@@ -35,25 +75,31 @@ corruptedResult(const sparse::CsrMatrix &a, Corruption kind)
 TEST(Sarif, EmptyLogIsAWellFormedDocument)
 {
     const SarifLog log;
-    const std::string json = log.toJson();
-    EXPECT_NE(json.find("\"version\": \"2.1.0\""), std::string::npos);
-    EXPECT_NE(json.find("sarif-2.1.0.json"), std::string::npos);
-    EXPECT_NE(json.find("\"name\": \"chason_verify\""), std::string::npos);
-    EXPECT_NE(json.find("\"results\": []"), std::string::npos);
+    const JsonValue doc = parsed(log.toJson());
+    EXPECT_EQ(text(&doc, "version"), "2.1.0");
+    EXPECT_NE(text(&doc, "$schema").find("sarif-2.1.0.json"),
+              std::string::npos);
+    const JsonValue &run = firstRun(doc);
+    EXPECT_EQ(text(driverOf(run), "name"), "chason_verify");
+    const JsonValue *results = run.find("results");
+    ASSERT_NE(results, nullptr);
+    EXPECT_TRUE(results->isArray());
+    EXPECT_TRUE(results->items.empty());
 }
 
 TEST(Sarif, EmbedsTheFullRuleCatalog)
 {
     const SarifLog log;
-    const std::string json = log.toJson();
+    const JsonValue doc = parsed(log.toJson());
+    const JsonValue *driver = driverOf(firstRun(doc));
+    ASSERT_NE(driver, nullptr);
+    const JsonValue *table = driver->find("rules");
+    ASSERT_NE(table, nullptr);
     std::size_t count = 0;
     const RuleInfo *rules = ruleCatalog(&count);
-    for (std::size_t i = 0; i < count; ++i) {
-        EXPECT_NE(json.find(std::string("\"id\": \"") + rules[i].id +
-                            "\""),
-                  std::string::npos)
-            << rules[i].id << " missing from driver.rules";
-    }
+    ASSERT_EQ(table->items.size(), count);
+    for (std::size_t i = 0; i < count; ++i)
+        EXPECT_EQ(text(&table->items[i], "id"), rules[i].id);
 }
 
 TEST(Sarif, ResultsCarryRuleLevelAndLocations)
@@ -69,15 +115,35 @@ TEST(Sarif, ResultsCarryRuleLevelAndLocations)
     log.addResult(result, "schedules/test.crhcs.sched");
     EXPECT_EQ(log.size(), result.diagnostics.size());
 
-    const std::string json = log.toJson();
-    EXPECT_NE(json.find("\"ruleId\": \"CHV004\""), std::string::npos);
-    EXPECT_NE(json.find("\"level\": \"error\""), std::string::npos);
-    EXPECT_NE(json.find("\"uri\": \"schedules/test.crhcs.sched\""),
-              std::string::npos);
-    EXPECT_NE(json.find("logicalLocations"), std::string::npos);
-    EXPECT_NE(json.find("fullyQualifiedName"), std::string::npos);
-    // ruleIndex must reference the catalog position of CHV004 (3).
-    EXPECT_NE(json.find("\"ruleIndex\": 3"), std::string::npos);
+    const JsonValue doc = parsed(log.toJson());
+    const JsonValue *results = firstRun(doc).find("results");
+    ASSERT_NE(results, nullptr);
+    ASSERT_EQ(results->items.size(), result.diagnostics.size());
+    bool sawChv004 = false;
+    for (const JsonValue &r : results->items) {
+        if (text(&r, "ruleId") != "CHV004")
+            continue;
+        sawChv004 = true;
+        EXPECT_EQ(text(&r, "level"), "error");
+        // ruleIndex must reference the catalog position of CHV004 (3).
+        std::uint64_t index = 0;
+        EXPECT_TRUE(r.getUint("ruleIndex", index));
+        EXPECT_EQ(index, 3u);
+        const JsonValue *locations = r.find("locations");
+        ASSERT_NE(locations, nullptr);
+        ASSERT_EQ(locations->items.size(), 1u);
+        const JsonValue &location = locations->items[0];
+        const JsonValue *physical = location.find("physicalLocation");
+        ASSERT_NE(physical, nullptr);
+        EXPECT_EQ(text(physical->find("artifactLocation"), "uri"),
+                  "schedules/test.crhcs.sched");
+        const JsonValue *logical = location.find("logicalLocations");
+        ASSERT_NE(logical, nullptr);
+        ASSERT_EQ(logical->items.size(), 1u);
+        EXPECT_FALSE(
+            text(&logical->items[0], "fullyQualifiedName").empty());
+    }
+    EXPECT_TRUE(sawChv004);
 }
 
 TEST(Sarif, AggregatesSeveralArtifactsIntoOneRun)
@@ -97,17 +163,10 @@ TEST(Sarif, AggregatesSeveralArtifactsIntoOneRun)
     EXPECT_NE(json.find("schedules/one.sched"), std::string::npos);
     EXPECT_NE(json.find("schedules/two.sched"), std::string::npos);
     // Exactly one run aggregates everything.
-    EXPECT_EQ(json.find("\"runs\""), json.rfind("\"runs\""));
-}
-
-TEST(Sarif, JsonEscapingHandlesControlAndQuoteCharacters)
-{
-    EXPECT_EQ(jsonEscape("plain"), "plain");
-    EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
-    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
-    EXPECT_EQ(jsonEscape("a\nb"), "a\\nb");
-    EXPECT_EQ(jsonEscape("a\tb"), "a\\tb");
-    EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\\u0001");
+    const JsonValue doc = parsed(json);
+    const JsonValue *runs = doc.find("runs");
+    ASSERT_NE(runs, nullptr);
+    EXPECT_EQ(runs->items.size(), 1u);
 }
 
 TEST(Sarif, ArtifactUriSpacesAreEscaped)

@@ -5,8 +5,9 @@
  * metadata (semanticVersion + properties.revision), fingerprint
  * stability and extraction, and the baseline diff semantics the
  * ratchet is built on (new-finding detection, shrink-only updates).
- * Substring-based like test_sarif.cc; run_all.sh additionally
- * validates emitted files with python3's json module.
+ * Document assertions parse the SARIF text (common::parseJson) like
+ * test_sarif.cc; run_all.sh additionally validates emitted files with
+ * python3's json module.
  */
 
 #include "verify/sarif.h"
@@ -17,6 +18,8 @@
 #include <set>
 #include <string>
 #include <vector>
+
+#include "common/json.h"
 
 namespace chason {
 namespace verify {
@@ -32,6 +35,52 @@ countOf(const std::string &haystack, const std::string &needle)
         pos += needle.size();
     }
     return count;
+}
+
+using common::JsonValue;
+
+/** @p json parsed; an unparsable document fails the test. */
+JsonValue
+parsed(const std::string &json)
+{
+    JsonValue doc;
+    std::string error;
+    EXPECT_TRUE(common::parseJson(json, doc, error)) << error;
+    return doc;
+}
+
+/** The string at @p key of @p object, or "" when absent. */
+std::string
+text(const JsonValue *object, const std::string &key)
+{
+    std::string out;
+    if (object != nullptr)
+        object->getString(key, out);
+    return out;
+}
+
+/** runs[@p i].tool.driver, or null. */
+const JsonValue *
+driverOf(const JsonValue &doc, std::size_t i)
+{
+    const JsonValue *runs = doc.find("runs");
+    if (runs == nullptr || i >= runs->items.size())
+        return nullptr;
+    const JsonValue *tool = runs->items[i].find("tool");
+    return tool != nullptr ? tool->find("driver") : nullptr;
+}
+
+/** runs[@p i].results[@p j], or null. */
+const JsonValue *
+resultOf(const JsonValue &doc, std::size_t i, std::size_t j)
+{
+    const JsonValue *runs = doc.find("runs");
+    if (runs == nullptr || i >= runs->items.size())
+        return nullptr;
+    const JsonValue *results = runs->items[i].find("results");
+    return results != nullptr && j < results->items.size()
+        ? &results->items[j]
+        : nullptr;
 }
 
 SarifRun
@@ -79,10 +128,12 @@ TEST(SarifMerge, TwoRunsShareOneRunsArray)
     const std::string json = doc.toJson();
     // One document, one "runs" key, both drivers inside it.
     EXPECT_EQ(countOf(json, "\"runs\""), 1u);
-    EXPECT_NE(json.find("\"name\": \"chason_lint\""), std::string::npos);
-    EXPECT_NE(json.find("\"name\": \"clang-tidy\""), std::string::npos);
-    EXPECT_NE(json.find("\"ruleId\": \"CHL001\""), std::string::npos);
-    EXPECT_NE(json.find("\"ruleId\": \"CHL002\""), std::string::npos);
+    const JsonValue parsedDoc = parsed(json);
+    EXPECT_EQ(parsedDoc.find("runs")->items.size(), 2u);
+    EXPECT_EQ(text(driverOf(parsedDoc, 0), "name"), "chason_lint");
+    EXPECT_EQ(text(driverOf(parsedDoc, 1), "name"), "clang-tidy");
+    EXPECT_EQ(text(resultOf(parsedDoc, 0, 0), "ruleId"), "CHL001");
+    EXPECT_EQ(text(resultOf(parsedDoc, 1, 0), "ruleId"), "CHL002");
 }
 
 TEST(SarifMerge, RuleDeDupIsStable)
@@ -107,36 +158,50 @@ TEST(SarifMerge, ResultsReferenceTheirRuleIndex)
     SarifDocument doc;
     doc.addRun(lintRun("chason_lint",
                        {finding("CHL002", "x.cc", "grew", 3)}));
-    const std::string json = doc.toJson();
+    const JsonValue parsedDoc = parsed(doc.toJson());
+    const JsonValue *result = resultOf(parsedDoc, 0, 0);
+    ASSERT_NE(result, nullptr);
     // CHL002 is the second rule of the run's table.
-    EXPECT_NE(json.find("\"ruleIndex\": 1"), std::string::npos);
-    EXPECT_NE(json.find("\"region\": {\"startLine\": 3}"),
-              std::string::npos);
+    std::uint64_t index = 0;
+    EXPECT_TRUE(result->getUint("ruleIndex", index));
+    EXPECT_EQ(index, 1u);
+    const JsonValue *region = result->find("locations")
+                                  ->items.at(0)
+                                  .find("physicalLocation")
+                                  ->find("region");
+    ASSERT_NE(region, nullptr);
+    ASSERT_EQ(region->members.size(), 1u); // no column: no startColumn
+    std::uint64_t line = 0;
+    EXPECT_TRUE(region->getUint("startLine", line));
+    EXPECT_EQ(line, 3u);
 }
 
 TEST(SarifMerge, ToolMetadataIsEmittedPerRun)
 {
     SarifDocument doc;
     doc.addRun(lintRun("chason_lint", {}));
-    const std::string json = doc.toJson();
-    EXPECT_NE(json.find("\"semanticVersion\": \"1.0.0\""),
-              std::string::npos);
-    EXPECT_NE(json.find("\"properties\": {\"revision\": \"abc1234\"}"),
-              std::string::npos);
-    EXPECT_NE(json.find("\"informationUri\""), std::string::npos);
+    const JsonValue parsedDoc = parsed(doc.toJson());
+    const JsonValue *driver = driverOf(parsedDoc, 0);
+    ASSERT_NE(driver, nullptr);
+    EXPECT_EQ(text(driver, "semanticVersion"), "1.0.0");
+    EXPECT_EQ(text(driver->find("properties"), "revision"), "abc1234");
+    EXPECT_FALSE(text(driver, "informationUri").empty());
 }
 
 TEST(SarifMerge, VerifyFacadeCarriesMetadataToo)
 {
     const SarifLog log;
-    const std::string json = log.toJson();
-    EXPECT_NE(json.find("\"name\": \"chason_verify\""),
-              std::string::npos);
-    EXPECT_NE(json.find("\"semanticVersion\""), std::string::npos);
-    // The revision value depends on the checkout; only the key shape
-    // is asserted.
-    EXPECT_NE(json.find("\"properties\": {\"revision\": \""),
-              std::string::npos);
+    const JsonValue parsedDoc = parsed(log.toJson());
+    const JsonValue *driver = driverOf(parsedDoc, 0);
+    ASSERT_NE(driver, nullptr);
+    EXPECT_EQ(text(driver, "name"), "chason_verify");
+    EXPECT_FALSE(text(driver, "semanticVersion").empty());
+    // The revision value depends on the checkout; only its presence
+    // as a string is asserted.
+    const JsonValue *properties = driver->find("properties");
+    ASSERT_NE(properties, nullptr);
+    ASSERT_NE(properties->find("revision"), nullptr);
+    EXPECT_TRUE(properties->find("revision")->isString());
 }
 
 TEST(SarifMerge, FingerprintIsStableAndLineFree)

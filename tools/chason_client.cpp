@@ -21,7 +21,6 @@
  */
 
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -70,14 +69,17 @@ std::string
 requestLine(std::uint64_t id, const CatalogEntry &entry,
             const char *tenant)
 {
-    char buffer[256];
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "{\"id\":%" PRIu64 ",\"tenant\":\"%s\",\"rmat\":{\"scale\":%u,"
-        "\"edges\":%" PRIu64 ",\"seed\":%" PRIu64
-        "},\"xseed\":%" PRIu64 "}",
-        id, tenant, entry.scale, entry.edges, entry.seed, entry.xseed);
-    return buffer;
+    common::JsonWriter out;
+    out.object([&] {
+        out.field("id", id).field("tenant", tenant);
+        out.object("rmat", [&] {
+            out.field("scale", entry.scale)
+                .field("edges", entry.edges)
+                .field("seed", entry.seed);
+        });
+        out.field("xseed", entry.xseed);
+    });
+    return out.str();
 }
 
 /** The daemon's exact pipeline, recomputed locally: digest of y. */
@@ -314,12 +316,8 @@ main(int argc, char **argv)
         // One local reference run per catalog entry — the same
         // deterministic pipeline the daemon executes.
         digests.reserve(kCatalogSize);
-        for (const CatalogEntry &entry : kCatalog) {
-            char hex[24];
-            std::snprintf(hex, sizeof(hex), "%016" PRIx64,
-                          referenceDigest(entry));
-            digests.emplace_back(hex);
-        }
+        for (const CatalogEntry &entry : kCatalog)
+            digests.push_back(serve::digestHex(referenceDigest(entry)));
     }
 
     std::vector<Tally> tallies(connections);
@@ -357,14 +355,20 @@ main(int argc, char **argv)
             connectFailed = true;
     }
 
-    std::printf("{\"sent\":%" PRIu64 ",\"ok\":%" PRIu64
-                ",\"errors\":%" PRIu64 ",\"mismatches\":%" PRIu64
-                ",\"malformed\":%" PRIu64 ",\"flood\":{\"sent\":%u,"
-                "\"answered\":%" PRIu64 ",\"over_budget\":%" PRIu64
-                "}}\n",
-                total.sent, total.ok, total.errors, total.mismatches,
-                total.malformed, flood, floodAnswered,
-                connectFailed ? 0 : overBudget);
+    common::JsonWriter summary;
+    summary.object([&] {
+        summary.field("sent", total.sent)
+            .field("ok", total.ok)
+            .field("errors", total.errors)
+            .field("mismatches", total.mismatches)
+            .field("malformed", total.malformed);
+        summary.object("flood", [&] {
+            summary.field("sent", flood)
+                .field("answered", floodAnswered)
+                .field("over_budget", connectFailed ? 0 : overBudget);
+        });
+    });
+    std::printf("%s\n", summary.str().c_str());
 
     if (connectFailed)
         return 3;

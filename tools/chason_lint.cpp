@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "common/buildinfo.h"
+#include "common/json.h"
 #include "core/thread_pool.h"
 #include "tool_flags.h"
 #include "verify/sarif.h"
@@ -149,7 +150,7 @@ constexpr LintRuleInfo kLintRules[] = {
      "error"},
     {"CHL002", "HotLoopAllocation",
      "Allocation or container growth inside a marked hot region (the "
-     "simulator inner loop, the runPlanned replay path). Hoist the "
+     "simulator inner loop, macPackedChannel's plan replay). Hoist the "
      "storage out of the region or justify it with an allow marker.",
      "error"},
     {"CHL003", "UncheckedMmapDereference",
@@ -560,18 +561,19 @@ parseClangDiagnostics(const std::string &output, const fs::path &root,
 std::vector<std::string>
 compileDatabaseFiles(const fs::path &buildDir, const fs::path &root)
 {
-    const std::string text =
-        readFile(buildDir / "compile_commands.json");
+    chason::common::JsonValue db;
+    std::string error;
+    if (!chason::common::parseJson(
+            readFile(buildDir / "compile_commands.json"), db, error)) {
+        std::fprintf(stderr, "chason_lint: %s/compile_commands.json: "
+                     "%s\n", buildDir.string().c_str(), error.c_str());
+        return {};
+    }
     std::vector<std::string> out;
-    const std::string needle = "\"file\": \"";
-    std::size_t pos = 0;
-    while ((pos = text.find(needle, pos)) != std::string::npos) {
-        pos += needle.size();
-        const std::size_t end = text.find('"', pos);
-        if (end == std::string::npos)
-            break;
-        std::string file = text.substr(pos, end - pos);
-        pos = end + 1;
+    for (const chason::common::JsonValue &command : db.items) {
+        std::string file;
+        if (!command.getString("file", file))
+            continue;
         const std::string generic = fs::path(file).generic_string();
         if (generic.rfind(root.generic_string(), 0) != 0)
             continue; // out-of-tree TU (_deps etc.)

@@ -31,17 +31,18 @@
  * Exit status: 0 pass, 1 below a band, 2 usage error, 3 tier-set
  * mismatch.
  *
- * The reader is deliberately minimal: it understands exactly the
- * one-tier-object-per-line layout bench::writePerfJson produces, not
- * general JSON.
+ * Reports are read with common::parseJson, so any layout of the
+ * bench::writePerfJson schema is accepted.
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "tool_flags.h"
 
 namespace {
@@ -56,52 +57,45 @@ constexpr const char *kHelpEpilogue =
     "  3  tier-set mismatch: a tier present in exactly one of the two\n"
     "     reports. Structural, so it fails even in soft mode.\n";
 
+using chason::common::JsonValue;
+
 struct TierReading
 {
     std::string tier;
     double throughputPerS = 0.0;
-    double medianMs = 0.0;
 };
 
-/** Extract `"key":` followed by a number from @p line, or NAN. */
-bool
-numberField(const std::string &line, const char *key, double &out)
-{
-    const std::string needle = std::string("\"") + key + "\":";
-    const std::size_t pos = line.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    out = std::strtod(line.c_str() + pos + needle.size(), nullptr);
-    return true;
-}
-
+/** Every tier of the report at @p path that carries a numeric
+ *  @p field; exits 2 when the report is unreadable or has none. */
 std::vector<TierReading>
 readReport(const char *path, const char *field)
 {
-    std::FILE *f = std::fopen(path, "r");
-    if (f == nullptr) {
+    std::ifstream in(path);
+    if (!in) {
         std::fprintf(stderr, "perf-gate: cannot open %s\n", path);
         std::exit(2);
     }
+    std::ostringstream text;
+    text << in.rdbuf();
+    JsonValue report;
+    std::string error;
+    if (!chason::common::parseJson(text.str(), report, error)) {
+        std::fprintf(stderr, "perf-gate: %s: %s\n", path, error.c_str());
+        std::exit(2);
+    }
     std::vector<TierReading> out;
-    char buf[1024];
-    while (std::fgets(buf, sizeof(buf), f) != nullptr) {
-        const std::string line = buf;
-        const std::size_t pos = line.find("\"tier\":\"");
-        if (pos == std::string::npos)
-            continue;
-        const std::size_t start = pos + std::strlen("\"tier\":\"");
-        const std::size_t end = line.find('"', start);
-        if (end == std::string::npos)
-            continue;
+    const JsonValue *tiers = report.find("tiers");
+    for (std::size_t i = 0; tiers != nullptr && i < tiers->items.size();
+         ++i) {
+        const JsonValue &tier = tiers->items[i];
+        const JsonValue *value = tier.find(field);
         TierReading r;
-        r.tier = line.substr(start, end - start);
-        if (!numberField(line, field, r.throughputPerS))
+        if (!tier.getString("tier", r.tier) || value == nullptr ||
+            !value->isNumber())
             continue;
-        numberField(line, "median_ms", r.medianMs);
+        r.throughputPerS = value->number;
         out.push_back(r);
     }
-    std::fclose(f);
     if (out.empty()) {
         std::fprintf(stderr, "perf-gate: no tier records in %s\n", path);
         std::exit(2);

@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <thread>
 
+#include "common/json.h"
 #include "serve/daemon.h"
 #include "tool_flags.h"
 
@@ -127,7 +128,11 @@ main(int argc, char **argv)
     action.sa_handler = SIG_IGN;
     sigaction(SIGPIPE, &action, nullptr);
 
-    std::printf("{\"ready\":true,\"socket\":\"%s\"}\n", socketPath);
+    chason::common::JsonWriter ready;
+    ready.object([&] {
+        ready.field("ready", true).field("socket", socketPath);
+    });
+    std::printf("%s\n", ready.str().c_str());
     std::fflush(stdout);
 
     while (g_terminate == 0) {

@@ -81,18 +81,18 @@ emitLine(core::BatchEngine &batch, const std::string &name,
     const std::vector<float> x = sparse::randomVector(a.cols(), rng);
     const core::Comparison cmp = batch.compare(a, x, name);
 
-    std::string line = core::toJson(cmp);
-    char e2e[192];
-    std::snprintf(e2e, sizeof(e2e),
-                  ",\"end_to_end\":{\"iterations\":%u,"
-                  "\"chason_amortized_us\":%.9g,"
-                  "\"serpens_amortized_us\":%.9g}}",
-                  kAmortizationIterations,
-                  amortizedUs(batch, core::Engine::Kind::Chason, a),
-                  amortizedUs(batch, core::Engine::Kind::Serpens, a));
-    line.pop_back(); // drop the closing brace, extend the object
-    line += e2e;
-    return line;
+    common::JsonWriter out;
+    out.object([&] {
+        core::writeFields(out, cmp);
+        out.object("end_to_end", [&] {
+            out.field("iterations", kAmortizationIterations)
+                .field("chason_amortized_us",
+                       amortizedUs(batch, core::Engine::Kind::Chason, a))
+                .field("serpens_amortized_us",
+                       amortizedUs(batch, core::Engine::Kind::Serpens, a));
+        });
+    });
+    return out.str();
 }
 
 } // namespace
@@ -175,8 +175,15 @@ main(int argc, char **argv)
         std::fprintf(out, "%s\n", line.c_str());
 
     const core::ScheduleCacheStats cache = batch.cache().stats();
-    std::fprintf(out, "{\"summary\":{\"matrices\":%zu,\"schedule_cache\":%s}}\n",
-                 entries.size(), core::toJson(cache).c_str());
+    common::JsonWriter summary;
+    summary.object([&] {
+        summary.object("summary", [&] {
+            summary.field("matrices", entries.size());
+            summary.object("schedule_cache",
+                           [&] { core::writeFields(summary, cache); });
+        });
+    });
+    std::fprintf(out, "%s\n", summary.str().c_str());
 
     if (out != stdout)
         std::fclose(out);

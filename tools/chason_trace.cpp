@@ -221,9 +221,12 @@ main(int argc, char **argv)
         if (!f)
             chason_fatal("cannot create counters file '%s'",
                          opt.counters.c_str());
-        const std::string json = "{\"report\":" + core::toJson(report) +
-            ",\"trace\":" + trace::countersJson(sink) + "}\n";
-        std::fwrite(json.data(), 1, json.size(), f);
+        common::JsonWriter json;
+        json.object([&] {
+            json.object("report", [&] { core::writeFields(json, report); });
+            json.object("trace", [&] { trace::writeCounters(json, sink); });
+        });
+        std::fprintf(f, "%s\n", json.str().c_str());
         std::fclose(f);
         std::printf("counters written to %s\n", opt.counters.c_str());
     }

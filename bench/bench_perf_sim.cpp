@@ -8,11 +8,14 @@
  * cycles per wall second. Before timing, each tier once asserts that
  * the planned run is bit-identical (y and every cycle counter) to the
  * plain run(), so the reported speed provably changes no simulated
- * result. The checksum is the double sum of y. Each tier also prints
- * what the plan replaces and costs — the unplanned run(), the plan
- * build and the plan's bytes per non-zero — on stdout only.
+ * result. The checksum is the double sum of y. Each tier also records
+ * what the plan replaces and costs — the unplanned run() and the plan
+ * build as `unplanned_ms` / `plan_build_ms`, beside the `jobs` the
+ * channel fan-out ran at — and prints the plan's bytes per non-zero.
+ * None of the three is gated.
  *
- * Knobs: CHASON_PERF_TIERS picks tiers, --out changes the report path.
+ * Knobs: CHASON_PERF_TIERS picks tiers, CHASON_JOBS the simulator's
+ * fan-out width, --out changes the report path.
  */
 
 #include <cmath>
@@ -24,6 +27,7 @@
 #include "arch/chason_accel.h"
 #include "arch/stream_soa.h"
 #include "common/logging.h"
+#include "core/thread_pool.h"
 #include "perf_emit.h"
 #include "sched/crhcs.h"
 #include "sparse/generators.h"
@@ -115,6 +119,9 @@ main(int argc, char **argv)
             static_cast<double>(cycles) / (s.medianMs / 1000.0);
         s.cycles = cycles;
         s.checksum = checksum;
+        s.jobsCount = core::resolveJobs(0);
+        s.unplannedMs = bench::medianOf(unplanned_ms);
+        s.planBuildMs = bench::medianOf(build_ms);
         samples.push_back(s);
 
         std::printf("%-7s %9zu nnz  %8llu cycles  median %7.2f ms  "
@@ -123,11 +130,11 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(s.cycles),
                     s.medianMs, s.throughputPerS);
         std::printf("%-7s unplanned %7.2f ms  plan build %7.2f ms  "
-                    "plan %5.2f B/nnz\n",
-                    "", bench::medianOf(unplanned_ms),
-                    bench::medianOf(build_ms),
+                    "plan %5.2f B/nnz  jobs %u\n",
+                    "", s.unplannedMs, s.planBuildMs,
                     static_cast<double>(plan.memoryBytes()) /
-                        static_cast<double>(a.nnz()));
+                        static_cast<double>(a.nnz()),
+                    s.jobsCount);
     }
 
     bench::writePerfJson(out, "sim", "cycles_per_s", samples);

@@ -143,6 +143,10 @@ writePerfJson(const std::string &path, const std::string &bench,
                         out.field("cache_hit_rate", s.cacheHitRate);
                     if (s.nsPerNnz > 0.0)
                         out.field("ns_per_nnz", s.nsPerNnz);
+                    if (s.unplannedMs > 0.0)
+                        out.field("unplanned_ms", s.unplannedMs);
+                    if (s.planBuildMs > 0.0)
+                        out.field("plan_build_ms", s.planBuildMs);
                 });
             }
         });

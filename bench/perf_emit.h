@@ -95,8 +95,9 @@ struct PerfSample
      */
     double coldMedianMs = 0.0;
 
-    /** Worker count driving the tier (bench_perf_batch); 0 = not a
-     *  parallel-batch tier, the field is omitted from the JSON. */
+    /** Worker count driving the tier (bench_perf_batch, and the
+     *  simulator's channel fan-out in bench_perf_sim); 0 = not
+     *  applicable, the field is omitted from the JSON. */
     unsigned jobsCount = 0;
 
     /** throughput(jobs) / (throughput(1) * effective parallelism);
@@ -110,6 +111,11 @@ struct PerfSample
     /** Wall nanoseconds per non-zero (bench_perf_gen); 0 = not
      *  applicable, the field is omitted. */
     double nsPerNnz = 0.0;
+
+    /** Median unplanned run and StreamPlan build (bench_perf_sim);
+     *  0 = not applicable, the fields are omitted. */
+    double unplannedMs = 0.0;
+    double planBuildMs = 0.0;
 };
 
 /** Monotonic timestamp in milliseconds. */
@@ -135,7 +141,8 @@ std::string gitRevision();
  *    "tiers": [{"tier": "small", ..., "throughput_per_s": 8.1e6, ...},
  *              ...]}
  *
- * Optional fields (rows/cols, cycles, cold_median_ms, jobs, ...) are
+ * Optional fields (rows/cols, cycles, cold_median_ms, jobs,
+ * unplanned_ms, plan_build_ms, ...) are
  * left out when the bench does not measure them.
  */
 void writePerfJson(const std::string &path, const std::string &bench,

@@ -17,14 +17,17 @@ CHASON_JOBS=1 ctest --test-dir build --output-on-failure 2>&1 \
 
 # Concurrency tests again under ThreadSanitizer (batch engine, schedule
 # cache, work-stealing thread pool, RNG streams, the SummaryStats lazy
-# sort cache, the serving daemon's full thread architecture, and the
-# once-per-entry StreamPlan build under concurrent first runs).
+# sort cache, the serving daemon's full thread architecture, the
+# once-per-entry StreamPlan build under concurrent first runs, and the
+# simulator's channel fan-out, parallel plan build, row-parallel
+# reference check and concurrent replays of one plan).
 cmake -B build-tsan -G Ninja -DCHASON_TSAN=ON
 cmake --build build-tsan --target test_batch_engine test_schedule_cache \
     test_artifact_cache test_rng test_thread_pool test_stats \
-    test_serve_daemon test_warm_path
+    test_serve_daemon test_warm_path test_perf_determinism \
+    test_accelerators
 ctest --test-dir build-tsan \
-    -R 'test_(batch_engine|schedule_cache|artifact_cache|rng|thread_pool|stats|serve_daemon|warm_path)' \
+    -R 'test_(batch_engine|schedule_cache|artifact_cache|rng|thread_pool|stats|serve_daemon|warm_path|perf_determinism|accelerators)' \
     --output-on-failure 2>&1 | tee -a test_output.txt
 
 # Memory-safety leg: the parsing/verification surface again under

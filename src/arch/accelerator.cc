@@ -11,6 +11,7 @@
 
 #include "arch/stream_soa.h"
 #include "common/logging.h"
+#include "core/thread_pool.h"
 #include "trace/trace.h"
 
 namespace chason {
@@ -129,6 +130,14 @@ class PegSetPool
     }
 };
 
+/** Per-channel scratch of one run: streaming lanes and merge sums. */
+struct ChannelScratch
+{
+    StreamScratch stream;
+    std::vector<float> laneSum;
+    std::vector<float> reduced;
+};
+
 /** RAII lease so PEG sets return to the pool on every exit path. */
 struct PegSetLease
 {
@@ -209,12 +218,15 @@ Accelerator::simulateStreaming(const sched::Schedule &schedule,
     chason_assert(x.size() == schedule.cols,
                   "x has %zu entries, schedule expects %u", x.size(),
                   schedule.cols);
-    // Note: a schedule whose slots migrate farther than the datapath's
-    // shared banks reach is caught inside Pe::process.
+    // A slot that migrates farther than the datapath's shared banks
+    // reach, like every other per-slot condition, panics where the
+    // slots are packed: in the StreamPlan constructor for a planned
+    // run, in streamChannel for an unplanned one (arch/stream_soa.h).
 
     const sched::LaneMap map(sc);
     const double freq = frequencyMhz();
     const double mem_factor = memoryStallFactor(config_.hbm, freq);
+    const unsigned jobs = core::resolveJobs(0);
 
     // Tracing: null (and folded away under -DCHASON_TRACE=OFF) unless
     // the calling thread is inside a trace::ScopedSink. sim_now is the
@@ -231,35 +243,72 @@ Accelerator::simulateStreaming(const sched::Schedule &schedule,
 
     PegSetLease lease(sc, migration_depth);
     std::vector<Peg> &pegs = lease.pegs;
+    // Channels of a pass stream concurrently: one scratch each.
+    std::vector<ChannelScratch> scratch(sc.channels);
 
-    XWindowBuffer xbuf;
-    StreamScratch stream_scratch;
+    // Every pass — a run of consecutive phases with the same pass
+    // index — takes three steps. (1) Channel-parallel: each channel
+    // resets its PEG and streams its lanes of every phase of the pass.
+    // A PEG is written only by its own channel's lanes, so channels
+    // never share a bank. (2) Source-channel-parallel: merge the
+    // pass's partial sums into y; each (source channel, PE) lane owns
+    // disjoint rows. (3) Sequential: the cycle, traffic and span
+    // accounting, which reads only the schedule, in the same order as
+    // a phase-by-phase walk.
     std::int64_t beat_base = 0;
     bool first_phase = true;
+    for (std::size_t first = 0; first < schedule.phases.size();) {
+        const std::uint32_t pass = schedule.phases[first].pass;
+        std::size_t end = first + 1;
+        while (end < schedule.phases.size() &&
+               schedule.phases[end].pass == pass)
+            ++end;
+        const std::uint32_t depth = passBankDepth(schedule, pass);
 
-    // Depth of the URAM region a pass actually uses.
-    auto pass_depth = [&](std::uint32_t pass) {
-        const std::uint64_t pass_rows = std::min<std::uint64_t>(
-            sc.rowsPerPass(),
-            static_cast<std::uint64_t>(schedule.rows) -
-                static_cast<std::uint64_t>(pass) * sc.rowsPerPass());
-        return static_cast<std::uint32_t>(
-            (pass_rows + map.lanes() - 1) / map.lanes());
-    };
+        // (1) Matrix streaming. The SoA path performs the same
+        // per-slot multiplies, additions and checks as walking
+        // Pe::process over the AoS beat list, in the same per-bank
+        // order (see stream_soa.h). With a StreamPlan the pre-packed,
+        // pre-checked lanes are replayed and the beat-list traversal
+        // is skipped entirely.
+        core::fanOut(jobs, sc.channels, [&](std::size_t c) {
+            const unsigned ch = static_cast<unsigned>(c);
+            Peg &peg = pegs[ch];
+            peg.reset(depth);
+            std::int64_t phase_beat = beat_base;
+            // chason-lint: begin-hot (per-channel streaming loop: the
+            // simulator's steady-state replay path must not allocate)
+            for (std::size_t i = first; i < end; ++i) {
+                const sched::WindowSchedule &phase = schedule.phases[i];
+                const XWindow win = phaseWindow(schedule, phase);
+                if (plan) {
+                    macChannel(plan->channel(i, ch), peg,
+                               x.data() + win.base,
+                               scratch[ch].stream.product);
+                } else {
+                    streamChannel(phase.channels[ch], sc, ch,
+                                  migration_depth, win, phase_beat,
+                                  x.data(), peg, scratch[ch].stream);
+                }
+                // The pipeline drains between phases, which also
+                // clears RAW hazards across the boundary.
+                phase_beat += static_cast<std::int64_t>(
+                                  phase.alignedBeats) +
+                    sc.rawDistance;
+            }
+            // chason-lint: end-hot
+        });
 
-    // Merge partial sums of a finished pass into y and account the
-    // Reduction Unit sweep. The two scratch vectors are hoisted out of
-    // the per-(channel, PE) loop and the bank reads go through the raw
-    // sum storage — same additions in the same order, no per-lane
-    // allocation.
-    std::vector<float> lane_sum;
-    std::vector<float> reduced;
-    auto finish_pass = [&](std::uint32_t pass) {
-        const std::uint32_t depth = pass_depth(pass);
+        // (2) Merge the pass's partial sums into y. The bank reads go
+        // through the raw sum storage and the two scratch vectors are
+        // per source channel — same additions in the same order, no
+        // per-lane allocation.
         const std::uint32_t local_base = pass * sc.rowsPerLanePerPass;
-
-        // Consolidated shared sums: [source channel][source PE] -> rows.
-        for (unsigned s = 0; s < sc.channels; ++s) {
+        core::fanOut(jobs, sc.channels, [&](std::size_t src) {
+            const unsigned s = static_cast<unsigned>(src);
+            std::vector<float> &lane_sum = scratch[s].laneSum;
+            std::vector<float> &reduced = scratch[s].reduced;
+            // Consolidated shared sums: [source PE] -> rows.
             for (unsigned k = 0; k < sc.pesPerGroup(); ++k) {
                 const float *pvt = pegs[s].pe(k).pvt().data();
                 lane_sum.assign(pvt, pvt + depth);
@@ -285,6 +334,96 @@ Accelerator::simulateStreaming(const sched::Schedule &schedule,
                     }
                 }
             }
+        });
+
+        // (3) Accounting, phase by phase, then the pass's drain.
+        for (std::size_t i = first; i < end; ++i) {
+            const sched::WindowSchedule &phase = schedule.phases[i];
+
+            // Dense-vector window load (one channel, broadcast to all
+            // PEGs). The load of window w+1 is double-buffered behind
+            // the streaming of window w in the dataflow design, so only
+            // the first window's load — and any excess over the matrix
+            // stream — costs wall-clock cycles.
+            const XWindow win = phaseWindow(schedule, phase);
+            const std::uint64_t x_beats = denseBeats(win.length);
+            result.traffic.recordBeats(config_.xChannel(),
+                                       hbm::Direction::Read, x_beats);
+            const std::uint64_t x_cycles =
+                streamCycles(x_beats, mem_factor);
+            const std::uint64_t stream_cycles =
+                streamCycles(phase.alignedBeats, mem_factor);
+            std::uint64_t exposed_x = 0;
+            if (first_phase) {
+                exposed_x = x_cycles;
+                first_phase = false;
+            } else if (x_cycles > stream_cycles) {
+                exposed_x = x_cycles - stream_cycles;
+            }
+            result.cycles.xLoad += exposed_x;
+            deviceSpan(sink, "x_window_load", trace::Category::XLoad,
+                       trace::kTrackSequencer, sim_now, exposed_x,
+                       "window", phase.window, "x_beats", x_beats);
+            sim_now += exposed_x;
+
+            // Matrix streaming: all channels in lockstep for
+            // alignedBeats.
+            for (unsigned ch = 0; ch < sc.channels; ++ch) {
+                result.traffic.recordBeats(ch, hbm::Direction::Read,
+                                           phase.alignedBeats);
+
+                // Per-PEG busy/stall split of this phase's streaming
+                // window. A beat is busy when the channel's own list
+                // has a valid slot in it; the lockstep padding up to
+                // alignedBeats and all-stall beats are the stalls
+                // CrHCS exists to fill (Fig. 2). busy + stall ==
+                // stream_cycles exactly, so each PEG track sums to
+                // CycleBreakdown::matrixStream.
+                if (sink) {
+                    std::uint64_t busy_beats = 0;
+                    std::uint64_t valid_slots = 0;
+                    for (const sched::Beat &beat :
+                         phase.channels[ch].beats) {
+                        const unsigned valid =
+                            beat.validCount(sc.pesPerGroup());
+                        busy_beats += valid > 0 ? 1 : 0;
+                        valid_slots += valid;
+                    }
+                    const std::uint64_t busy =
+                        std::min(streamCycles(busy_beats, mem_factor),
+                                 stream_cycles);
+                    const std::uint64_t stall = stream_cycles - busy;
+                    deviceSpan(sink, "stream_busy",
+                               trace::Category::MatrixStream, ch,
+                               sim_now, busy, "valid_slots",
+                               valid_slots, "beats", busy_beats);
+                    deviceSpan(sink, "stream_stall",
+                               trace::Category::MatrixStream, ch,
+                               sim_now + busy, stall, "stall_beats",
+                               phase.alignedBeats - busy_beats);
+                }
+            }
+            result.cycles.matrixStream += stream_cycles;
+            sim_now += stream_cycles;
+            result.cycles.pipelineFill +=
+                config_.timing.pipelineFillCycles;
+            deviceSpan(sink, "window_switch",
+                       trace::Category::PipelineFill,
+                       trace::kTrackSequencer, sim_now,
+                       config_.timing.pipelineFillCycles, "pass",
+                       phase.pass, "window", phase.window);
+            sim_now += config_.timing.pipelineFillCycles;
+
+            // One descriptor beat on the instruction channel per phase.
+            result.traffic.recordBeats(config_.instChannel(),
+                                       hbm::Direction::Read, 1);
+            result.cycles.instStream += 1;
+            deviceSpan(sink, "descriptor", trace::Category::InstStream,
+                       trace::kTrackSequencer, sim_now, 1);
+            sim_now += 1;
+
+            beat_base += static_cast<std::int64_t>(phase.alignedBeats) +
+                sc.rawDistance;
         }
 
         // Drain of the finished pass. The Reduction Unit sweep (one
@@ -293,11 +432,8 @@ Accelerator::simulateStreaming(const sched::Schedule &schedule,
         // overlap: the exposed time is max(sweep, y write) plus the
         // adder-tree latency. Serpens drains through the same y write
         // without a reduction stage.
-        const std::uint64_t pass_rows = std::min<std::uint64_t>(
-            sc.rowsPerPass(),
-            static_cast<std::uint64_t>(schedule.rows) -
-                static_cast<std::uint64_t>(pass) * sc.rowsPerPass());
-        const std::uint64_t y_beats = denseBeats(pass_rows);
+        const std::uint64_t y_beats =
+            denseBeats(passRows(schedule, pass));
         const std::uint64_t y_cycles = streamCycles(y_beats, mem_factor);
         result.traffic.recordBeats(config_.yChannel(),
                                    hbm::Direction::Write, y_beats);
@@ -326,124 +462,8 @@ Accelerator::simulateStreaming(const sched::Schedule &schedule,
                        "pass", pass, "sweep_addresses", sweep);
             sim_now += red_cycles;
         }
-    };
-
-    std::int64_t current_pass = -1;
-    for (std::size_t phase_idx = 0; phase_idx < schedule.phases.size();
-         ++phase_idx) {
-        const sched::WindowSchedule &phase = schedule.phases[phase_idx];
-        if (static_cast<std::int64_t>(phase.pass) != current_pass) {
-            if (current_pass >= 0)
-                finish_pass(static_cast<std::uint32_t>(current_pass));
-            current_pass = phase.pass;
-            const std::uint32_t depth =
-                pass_depth(static_cast<std::uint32_t>(current_pass));
-            for (Peg &peg : pegs)
-                peg.reset(depth);
-        }
-
-        // Dense-vector window load (one channel, broadcast to all
-        // PEGs). The load of window w+1 is double-buffered behind the
-        // streaming of window w in the dataflow design, so only the
-        // first window's load — and any excess over the matrix stream —
-        // costs wall-clock cycles.
-        const std::uint32_t col_base = phase.window * sc.windowCols;
-        const std::uint32_t win_len = std::min<std::uint32_t>(
-            sc.windowCols, schedule.cols - col_base);
-        xbuf.load(x, col_base, win_len);
-        const std::uint64_t x_beats = denseBeats(win_len);
-        result.traffic.recordBeats(config_.xChannel(),
-                                   hbm::Direction::Read, x_beats);
-        const std::uint64_t x_cycles = streamCycles(x_beats, mem_factor);
-        const std::uint64_t stream_cycles =
-            streamCycles(phase.alignedBeats, mem_factor);
-        std::uint64_t exposed_x = 0;
-        if (first_phase) {
-            exposed_x = x_cycles;
-            first_phase = false;
-        } else if (x_cycles > stream_cycles) {
-            exposed_x = x_cycles - stream_cycles;
-        }
-        result.cycles.xLoad += exposed_x;
-        deviceSpan(sink, "x_window_load", trace::Category::XLoad,
-                   trace::kTrackSequencer, sim_now, exposed_x, "window",
-                   phase.window, "x_beats", x_beats);
-        sim_now += exposed_x;
-
-        // Matrix streaming: all channels in lockstep for alignedBeats.
-        // The SoA path performs the same per-slot multiplies and
-        // checked accumulations as walking Pe::process over the AoS
-        // beat list, in the same per-bank order (see stream_soa.h).
-        // With a StreamPlan the pre-packed lanes are replayed and the
-        // beat-list traversal is skipped entirely.
-        // chason-lint: begin-hot (per-channel streaming loop: the
-        // simulator's steady-state replay path must not allocate)
-        for (unsigned ch = 0; ch < sc.channels; ++ch) {
-            const sched::ChannelWindowSchedule &cws = phase.channels[ch];
-            if (plan) {
-                macPackedChannel(plan->channel(phase_idx, ch), pegs[ch],
-                                 xbuf, beat_base, sc,
-                                 stream_scratch.product);
-            } else {
-                streamChannelSoa(cws, pegs[ch], xbuf, beat_base, sc, ch,
-                                 migration_depth, stream_scratch);
-            }
-            result.traffic.recordBeats(ch, hbm::Direction::Read,
-                                       phase.alignedBeats);
-
-            // Per-PEG busy/stall split of this phase's streaming
-            // window. A beat is busy when the channel's own list has a
-            // valid slot in it; the lockstep padding up to alignedBeats
-            // and all-stall beats are the stalls CrHCS exists to fill
-            // (Fig. 2). busy + stall == stream_cycles exactly, so each
-            // PEG track sums to CycleBreakdown::matrixStream.
-            if (sink) {
-                std::uint64_t busy_beats = 0;
-                std::uint64_t valid_slots = 0;
-                for (const sched::Beat &beat : cws.beats) {
-                    const unsigned valid =
-                        beat.validCount(sc.pesPerGroup());
-                    busy_beats += valid > 0 ? 1 : 0;
-                    valid_slots += valid;
-                }
-                const std::uint64_t busy = std::min(
-                    streamCycles(busy_beats, mem_factor), stream_cycles);
-                const std::uint64_t stall = stream_cycles - busy;
-                deviceSpan(sink, "stream_busy",
-                           trace::Category::MatrixStream, ch, sim_now,
-                           busy, "valid_slots", valid_slots, "beats",
-                           busy_beats);
-                deviceSpan(sink, "stream_stall",
-                           trace::Category::MatrixStream, ch,
-                           sim_now + busy, stall, "stall_beats",
-                           phase.alignedBeats - busy_beats);
-            }
-        }
-        // chason-lint: end-hot
-        result.cycles.matrixStream += stream_cycles;
-        sim_now += stream_cycles;
-        result.cycles.pipelineFill += config_.timing.pipelineFillCycles;
-        deviceSpan(sink, "window_switch", trace::Category::PipelineFill,
-                   trace::kTrackSequencer, sim_now,
-                   config_.timing.pipelineFillCycles, "pass", phase.pass,
-                   "window", phase.window);
-        sim_now += config_.timing.pipelineFillCycles;
-
-        // One descriptor beat on the instruction channel per phase.
-        result.traffic.recordBeats(config_.instChannel(),
-                                   hbm::Direction::Read, 1);
-        result.cycles.instStream += 1;
-        deviceSpan(sink, "descriptor", trace::Category::InstStream,
-                   trace::kTrackSequencer, sim_now, 1);
-        sim_now += 1;
-
-        // The pipeline drains between phases, which also clears RAW
-        // hazards across the boundary.
-        beat_base += static_cast<std::int64_t>(phase.alignedBeats) +
-            sc.rawDistance;
+        first = end;
     }
-    if (current_pass >= 0)
-        finish_pass(static_cast<std::uint32_t>(current_pass));
 
     result.cycles.launch = static_cast<std::uint64_t>(
         std::ceil(config_.timing.launchOverheadUs * freq));

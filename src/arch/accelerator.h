@@ -144,9 +144,12 @@ class Accelerator
                               const StreamPlan *plan) const = 0;
 
     /**
-     * Shared streaming core. Simulates every phase beat by beat through
-     * per-channel PEGs, accumulates timing and traffic, merges partial
-     * sums into y at pass boundaries and accounts the final writeback.
+     * Shared streaming core. Streams every phase through per-channel
+     * PEGs — the channels of a pass in parallel on the process-wide
+     * pool (core::fanOut, CHASON_JOBS wide) — merges partial sums into
+     * y at pass boundaries, and accumulates timing, traffic and the
+     * final writeback sequentially. Results are bit-identical at every
+     * jobs value.
      *
      * @param migration_depth shared banks instantiated per PE; 0 makes
      *        any migrated slot a hard error (the Serpens datapath).

@@ -9,12 +9,19 @@ namespace chason {
 namespace arch {
 
 void
+BankStamps::reset(std::size_t depth)
+{
+    depth_ = depth;
+    lastWrite_.clear(); // keeps the capacity for the next first write
+}
+
+void
 AccumulatorBank::reset(std::size_t depth)
 {
+    stamps_.reset(depth);
     if (sums_.size() == depth && !dirty_)
-        return; // already sized and still in post-reset state
+        return;
     sums_.assign(depth, 0.0f);
-    lastWrite_.assign(depth, kNeverWritten);
     dirty_ = false;
 }
 
@@ -47,21 +54,17 @@ XWindowBuffer::at(std::uint32_t global_col) const
     return window_[global_col - base_];
 }
 
-Pe::Pe(unsigned migration_depth, unsigned pes) : pes_(pes)
+Pe::Pe(unsigned migration_depth, unsigned pes)
+    : banks_(1 + static_cast<std::size_t>(migration_depth) * pes),
+      pes_(pes)
 {
-    shared_.resize(migration_depth);
-    for (auto &banks : shared_)
-        banks.resize(pes);
 }
 
 void
 Pe::reset(std::size_t uram_depth)
 {
-    pvt_.reset(uram_depth);
-    for (auto &banks : shared_) {
-        for (AccumulatorBank &bank : banks)
-            bank.reset(uram_depth);
-    }
+    for (AccumulatorBank &bank : banks_)
+        bank.reset(uram_depth);
 }
 
 void
@@ -81,27 +84,27 @@ Pe::process(const sched::Slot &slot, const XWindowBuffer &x,
         chason_assert(slot.chSrc == my_channel && slot.peSrc == my_pe,
                       "private slot of lane (%u,%u) routed to (%u,%u)",
                       slot.chSrc, slot.peSrc, my_channel, my_pe);
-        pvt_.accumulate(local_row, product, beat, config.rawDistance);
+        banks_[0].accumulate(local_row, product, beat, config.rawDistance);
         return;
     }
 
     const unsigned distance =
         (slot.chSrc + config.channels - my_channel) % config.channels;
-    chason_assert(distance >= 1 && distance <= shared_.size(),
+    chason_assert(distance >= 1 && distance <= migrationDepth(),
                   "migrated slot from channel %u needs distance %u, PE "
-                  "supports %zu", slot.chSrc, distance, shared_.size());
+                  "supports %u", slot.chSrc, distance, migrationDepth());
     chason_assert(slot.peSrc < pes_, "PE_src %u out of range", slot.peSrc);
-    shared_[distance - 1][slot.peSrc].accumulate(local_row, product, beat,
-                                                 config.rawDistance);
+    banks_[routingTag(distance, slot.peSrc, pes_)].accumulate(
+        local_row, product, beat, config.rawDistance);
 }
 
 const AccumulatorBank &
 Pe::shared(unsigned distance, unsigned src_pe) const
 {
-    chason_assert(distance >= 1 && distance <= shared_.size(),
+    chason_assert(distance >= 1 && distance <= migrationDepth(),
                   "shared distance %u out of range", distance);
     chason_assert(src_pe < pes_, "source PE %u out of range", src_pe);
-    return shared_[distance - 1][src_pe];
+    return banks_[routingTag(distance, src_pe, pes_)];
 }
 
 Peg::Peg(const sched::SchedConfig &config, unsigned migration_depth)

@@ -10,9 +10,9 @@
  * bank using the (pvt, PE_src) tags.
  *
  * The model is functional plus checked: every accumulation verifies the
- * RAW distance on its physical bank, so a schedule that would corrupt
- * data on the real pipeline panics here instead of silently producing
- * wrong sums.
+ * RAW distance on its physical bank (BankStamps), so a schedule that
+ * would corrupt data on the real pipeline panics here instead of
+ * silently producing wrong sums.
  */
 
 #ifndef CHASON_ARCH_PEG_H_
@@ -29,45 +29,103 @@
 namespace chason {
 namespace arch {
 
-/** One accumulator URAM bank with RAW-distance checking. */
+/**
+ * RAW-distance stamps of one accumulator bank: the stream beat each
+ * address was last written at. checkStamp() is the model's one
+ * per-write check site — bank depth, beat range and RAW distance —
+ * shared by the banks' own stamps (unplanned runs, Pe::process) and
+ * by StreamPlan, which checks every slot once at build time against a
+ * stamp array of its own.
+ */
+class BankStamps
+{
+  public:
+    /** Stamp of an address not written since the last reset. */
+    static constexpr std::int32_t kNeverWritten =
+        std::numeric_limits<std::int32_t>::min() / 2;
+
+    /**
+     * Size for @p depth addresses, none written. The stamp array is
+     * filled lazily by the first check() after a reset, so a bank that
+     * is never written — most shared banks, and every bank of a
+     * planned replay — costs no stamp storage or clearing.
+     */
+    void reset(std::size_t depth);
+
+    /** checkStamp() against this bank's stamps. */
+    void
+    check(std::uint32_t addr, std::int64_t beat, unsigned raw_distance)
+    {
+        if (lastWrite_.empty())
+            lastWrite_.assign(depth_, kNeverWritten);
+        checkStamp(lastWrite_.data(), depth_, addr, beat, raw_distance);
+    }
+
+    /**
+     * Record a write to @p addr at stream beat @p beat in the stamp
+     * array @p last_write of @p depth entries. Panics if @p addr is
+     * beyond the depth, @p beat is outside the stamp range, or the
+     * previous write to @p addr was closer than @p raw_distance beats
+     * — the real pipeline would have read a stale partial sum. Defined
+     * inline: it runs once per non-zero.
+     */
+    static void
+    checkStamp(std::int32_t *last_write, std::size_t depth,
+               std::uint32_t addr, std::int64_t beat,
+               unsigned raw_distance)
+    {
+        chason_assert(addr < depth, "bank address %u beyond depth %zu",
+                      addr, depth);
+        chason_assert(beat >= 0 && beat <= kMaxBeat,
+                      "beat %lld outside the bank's RAW stamp range",
+                      static_cast<long long>(beat));
+        chason_assert(
+            static_cast<std::int64_t>(last_write[addr]) +
+                    static_cast<std::int64_t>(raw_distance) <=
+                beat,
+            "RAW hazard at address %u: writes at beats %lld and %lld",
+            addr, static_cast<long long>(last_write[addr]),
+            static_cast<long long>(beat));
+        last_write[addr] = static_cast<std::int32_t>(beat);
+    }
+
+  private:
+    // Stamps are stored as int32 — half the reset/check traffic of
+    // int64 stamps. Stream beats are bounded by the total schedule
+    // length, far below 2^31; checkStamp() asserts the bound.
+    static constexpr std::int64_t kMaxBeat =
+        std::numeric_limits<std::int32_t>::max();
+
+    std::size_t depth_ = 0;
+    /** Empty until the first write since reset, then depth_ long. */
+    std::vector<std::int32_t> lastWrite_;
+};
+
+/** One accumulator URAM bank: partial sums plus their RAW stamps. */
 class AccumulatorBank
 {
   public:
     /**
-     * Clear sums and RAW history; size for @p depth rows. A no-op when
-     * the bank is already @p depth deep and has not been written since
-     * its last reset — most shared banks of a PEG set never receive a
-     * migrated product, and skipping their clears removes the bulk of
-     * the per-run reset traffic when PEG sets are reused across runs.
+     * Clear sums and RAW history; size for @p depth rows. The sums
+     * skip the clear when already @p depth deep and unwritten since
+     * the last reset — most shared banks of a PEG set never receive a
+     * migrated product — and the stamps refill lazily (BankStamps), so
+     * pooled PEG sets reset only what a run wrote.
      */
     void reset(std::size_t depth);
 
     /**
-     * Accumulate @p product into address @p addr at stream beat @p beat.
-     * Panics if the previous write to @p addr was closer than
-     * @p raw_distance beats — the real pipeline would have read a stale
-     * partial sum. Defined inline: this is the innermost operation of
-     * the streaming simulation, executed once per non-zero.
+     * Checked accumulate: stamps().check(), then add @p product into
+     * @p addr. The streaming simulation splits the two — every check at
+     * pack or plan-build time, the adds in one unchecked MAC loop — and
+     * makes exactly these checks in exactly this per-bank order.
      */
     void
     accumulate(std::uint32_t addr, float product, std::int64_t beat,
                unsigned raw_distance)
     {
-        chason_assert(addr < sums_.size(),
-                      "bank address %u beyond depth %zu", addr,
-                      sums_.size());
-        chason_assert(beat >= 0 && beat <= kMaxBeat,
-                      "beat %lld outside the bank's RAW stamp range",
-                      static_cast<long long>(beat));
-        chason_assert(
-            static_cast<std::int64_t>(lastWrite_[addr]) +
-                    static_cast<std::int64_t>(raw_distance) <=
-                beat,
-            "RAW hazard at address %u: writes at beats %lld and %lld",
-            addr, static_cast<long long>(lastWrite_[addr]),
-            static_cast<long long>(beat));
+        stamps_.check(addr, beat, raw_distance);
         sums_[addr] += product;
-        lastWrite_[addr] = static_cast<std::int32_t>(beat);
         dirty_ = true;
     }
 
@@ -77,20 +135,19 @@ class AccumulatorBank
     /** Raw partial-sum storage, indexed by bank address. */
     const float *data() const { return sums_.data(); }
 
-    /** True when the bank was written since its last reset. */
-    bool dirty() const { return dirty_; }
+    /**
+     * Writable sums for the unchecked MAC loop (arch/stream_soa.cc),
+     * whose addresses were checked when the slots were packed. The
+     * writer must call markWritten() so the next reset clears them.
+     */
+    float *sums() { return sums_.data(); }
+    void markWritten() { dirty_ = true; }
+
+    BankStamps &stamps() { return stamps_; }
 
   private:
-    // RAW stamps are stored as int32 — half the reset/accumulate
-    // traffic of int64 stamps. Stream beats are bounded by the total
-    // schedule length, far below 2^31; accumulate() asserts the bound.
-    static constexpr std::int64_t kMaxBeat =
-        std::numeric_limits<std::int32_t>::max();
-    static constexpr std::int32_t kNeverWritten =
-        std::numeric_limits<std::int32_t>::min() / 2;
-
     std::vector<float> sums_;
-    std::vector<std::int32_t> lastWrite_;
+    BankStamps stamps_;
     bool dirty_ = false;
 };
 
@@ -120,8 +177,8 @@ class XWindowBuffer
 };
 
 /**
- * One processing element: multiplier + router + accumulator banks.
- * Shared banks are indexed [migration distance - 1][source PE].
+ * One processing element: multiplier + router + accumulator banks,
+ * held in one array indexed by routing tag (banks()).
  */
 class Pe
 {
@@ -145,37 +202,38 @@ class Pe
                  std::int64_t beat, const sched::SchedConfig &config,
                  unsigned my_channel, unsigned my_pe);
 
-    const AccumulatorBank &pvt() const { return pvt_; }
+    const AccumulatorBank &pvt() const { return banks_[0]; }
 
     /** Shared bank for (distance, source PE); distance >= 1. */
     const AccumulatorBank &shared(unsigned distance, unsigned src_pe) const;
 
     /**
-     * Mutable bank access for the SoA streaming fast path
-     * (arch/stream_soa.cc), which routes products itself and writes
-     * through AccumulatorBank::accumulate directly. Same checks, same
-     * banks — just without the per-slot routing re-derivation.
+     * The banks indexed by routing tag: 0 is URAM_pvt, 1 + (distance -
+     * 1) * pes + source PE a shared bank (routingTag()). The SoA
+     * streaming path (arch/stream_soa.cc) routes products by tag.
      */
-    AccumulatorBank &pvtBank() { return pvt_; }
-    AccumulatorBank &
-    sharedBank(unsigned distance, unsigned src_pe)
+    AccumulatorBank *banks() { return banks_.data(); }
+    unsigned bankCount() const
     {
-        chason_assert(distance >= 1 && distance <= shared_.size(),
-                      "shared distance %u out of range", distance);
-        chason_assert(src_pe < pes_, "source PE %u out of range", src_pe);
-        return shared_[distance - 1][src_pe];
+        return static_cast<unsigned>(banks_.size());
     }
 
     unsigned migrationDepth() const
     {
-        return static_cast<unsigned>(shared_.size());
+        return static_cast<unsigned>((banks_.size() - 1) / pes_);
     }
 
   private:
-    AccumulatorBank pvt_;
-    std::vector<std::vector<AccumulatorBank>> shared_;
+    std::vector<AccumulatorBank> banks_;
     unsigned pes_;
 };
+
+/** Bank routing tag of a shared bank (distance >= 1), see Pe::banks(). */
+inline unsigned
+routingTag(unsigned distance, unsigned src_pe, unsigned pes)
+{
+    return 1 + (distance - 1) * pes + src_pe;
+}
 
 /**
  * A PEG: the PEs of one channel plus its Reduction Unit.

@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "core/thread_pool.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define CHASON_STREAM_SOA_X86 1
@@ -86,26 +87,62 @@ streamSoaUsesAvx2()
 #endif
 }
 
+XWindow
+phaseWindow(const sched::Schedule &schedule,
+            const sched::WindowSchedule &phase)
+{
+    const std::uint32_t base = phase.window * schedule.config.windowCols;
+    const std::uint32_t length = std::min<std::uint32_t>(
+        schedule.config.windowCols, schedule.cols - base);
+    chason_assert(static_cast<std::uint64_t>(base) + length <=
+                      schedule.cols,
+                  "window [%u, %u) outside x of size %u", base,
+                  base + length, schedule.cols);
+    return {base, length};
+}
+
+std::uint64_t
+passRows(const sched::Schedule &schedule, std::uint32_t pass)
+{
+    const sched::SchedConfig &sc = schedule.config;
+    return std::min<std::uint64_t>(
+        sc.rowsPerPass(),
+        static_cast<std::uint64_t>(schedule.rows) -
+            static_cast<std::uint64_t>(pass) * sc.rowsPerPass());
+}
+
+std::uint32_t
+passBankDepth(const sched::Schedule &schedule, std::uint32_t pass)
+{
+    const std::uint32_t lanes = sched::LaneMap(schedule.config).lanes();
+    return static_cast<std::uint32_t>(
+        (passRows(schedule, pass) + lanes - 1) / lanes);
+}
+
 namespace {
 
 /**
  * Visit every valid slot of one channel's beat list of one phase, in
  * beat order, after making every model check Pe::process would have
- * made for it (window bounds, routing tags, bank reach). @p emit
- * receives (pe, value, window-local column, local URAM address, beat
- * offset, bank routing tag).
+ * made for it: window bounds, routing tags and bank reach here, then
+ * bank depth, beat range and RAW distance through @p check (pe,
+ * routing tag, local URAM address, stream beat @p beat_base + t),
+ * which must end in BankStamps::checkStamp. @p emit receives (pe,
+ * value, window-local column, local URAM address, bank routing tag).
  */
-template <typename Emit>
+template <typename Check, typename Emit>
 void
 forEachPackedSlot(const sched::ChannelWindowSchedule &cws,
                   const sched::SchedConfig &config, unsigned channel,
-                  unsigned migration_depth, std::uint32_t win_base,
-                  std::uint32_t win_len, Emit &&emit)
+                  unsigned migration_depth, XWindow window,
+                  std::int64_t beat_base, Check &&check, Emit &&emit)
 {
     const unsigned pes = config.pesPerGroup();
     const sched::LaneMap map(config);
     const std::uint32_t lanes = map.lanes();
     const std::uint32_t rplp = config.rowsPerLanePerPass;
+    const std::uint32_t win_base = window.base;
+    const std::uint32_t win_len = window.length;
 
     // Power-of-two geometry (the default config) turns the per-slot
     // divisions of the local-row derivation into shifts/masks.
@@ -115,8 +152,12 @@ forEachPackedSlot(const sched::ChannelWindowSchedule &cws,
     while (lanes_pow2 && (1u << lane_shift) < lanes)
         ++lane_shift;
 
-    for (std::size_t t = 0; t < cws.beats.size(); ++t) {
-        const sched::Beat &bt = cws.beats[t];
+    // Hoisted: the callers' byte stores may alias the beat list's
+    // bounds, which would otherwise be reloaded every slot.
+    const sched::Beat *beats = cws.beats.data();
+    const std::size_t beat_count = cws.beats.size();
+    for (std::size_t t = 0; t < beat_count; ++t) {
+        const sched::Beat &bt = beats[t];
         for (unsigned p = 0; p < pes; ++p) {
             const sched::Slot &slot = bt.slots[p];
             if (!slot.valid)
@@ -151,20 +192,21 @@ forEachPackedSlot(const sched::ChannelWindowSchedule &cws,
                 chason_assert(slot.peSrc < pes, "PE_src %u out of range",
                               slot.peSrc);
                 const unsigned bank_id =
-                    1 + (distance - 1) * pes + slot.peSrc;
+                    routingTag(distance, slot.peSrc, pes);
                 chason_assert(bank_id <= 255,
                               "bank id %u overflows the SoA routing tag",
                               bank_id);
                 bank = static_cast<std::uint8_t>(bank_id);
             }
-            emit(p, slot.value, slot.col - win_base, addr,
-                 static_cast<std::uint32_t>(t), bank);
+            check(p, bank, addr,
+                  beat_base + static_cast<std::int64_t>(t));
+            emit(p, slot.value, slot.col - win_base, addr, bank);
         }
     }
 }
 
-/** Arena bytes per valid slot: value, winCol, addr, beat, bank. */
-constexpr std::size_t kPlanBytesPerSlot = 4 + 4 + 4 + 4 + 1;
+/** Arena bytes per valid slot: value, winCol, addr, bank. */
+constexpr std::size_t kPlanBytesPerSlot = 4 + 4 + 4 + 1;
 
 /** Arena plus lane offsets for @p slots valid slots in @p lanes lanes. */
 std::size_t
@@ -176,83 +218,78 @@ planBytes(std::size_t slots, std::size_t lanes)
 } // namespace
 
 void
-packChannel(const sched::ChannelWindowSchedule &cws,
-            const sched::SchedConfig &config, unsigned channel,
-            unsigned migration_depth, std::uint32_t win_base,
-            std::uint32_t win_len, PackedChannel &out)
+streamChannel(const sched::ChannelWindowSchedule &cws,
+              const sched::SchedConfig &config, unsigned channel,
+              unsigned migration_depth, XWindow window,
+              std::int64_t beat_base, const float *x, Peg &peg,
+              StreamScratch &scratch)
 {
-    for (PackedLane &lane : out.lanes)
+    for (PackedLane &lane : scratch.lanes)
         lane.clear();
+    std::array<AccumulatorBank *, sched::kMaxPesPerGroup> banks{};
+    for (unsigned p = 0; p < peg.pes(); ++p)
+        banks[p] = peg.pe(p).banks();
+    const unsigned raw = config.rawDistance;
     forEachPackedSlot(
-        cws, config, channel, migration_depth, win_base, win_len,
-        [&out](unsigned p, float value, std::uint32_t win_col,
-               std::uint32_t addr, std::uint32_t beat,
-               std::uint8_t bank) {
-            PackedLane &lane = out.lanes[p];
+        cws, config, channel, migration_depth, window, beat_base,
+        [&banks, raw](unsigned p, std::uint8_t bank, std::uint32_t addr,
+                      std::int64_t beat) {
+            banks[p][bank].stamps().check(addr, beat, raw);
+        },
+        [&scratch](unsigned p, float value, std::uint32_t win_col,
+                   std::uint32_t addr, std::uint8_t bank) {
+            PackedLane &lane = scratch.lanes[p];
             lane.value.push_back(value);
             lane.winCol.push_back(win_col);
             lane.addr.push_back(addr);
-            lane.beat.push_back(beat);
             lane.bank.push_back(bank);
         });
+    ChannelLanes lanes;
+    for (std::size_t p = 0; p < lanes.size(); ++p)
+        lanes[p] = scratch.lanes[p].view();
+    macChannel(lanes, peg, x + window.base, scratch.product);
 }
 
 void
-macPackedChannel(const ChannelLanes &lanes, Peg &peg,
-                 const XWindowBuffer &x, std::int64_t beat_base,
-                 const sched::SchedConfig &config,
-                 std::vector<float> &product)
+macChannel(const ChannelLanes &lanes, Peg &peg, const float *win,
+           std::vector<float> &product)
 {
-    const unsigned pes = config.pesPerGroup();
-
     // MAC pass, one PE at a time: dense multiply, then in-order
-    // accumulation through the checked banks.
-    // chason-lint: begin-hot (plan replay: the packed-lane MAC loop is
-    // the hottest code in the simulator)
-    for (unsigned p = 0; p < pes; ++p) {
+    // accumulation into the raw bank sums. Every address and RAW
+    // distance was checked when the lanes were packed.
+    // chason-lint: begin-hot (the one MAC loop: plan replays and
+    // unplanned runs both stream every non-zero through it)
+    for (unsigned p = 0; p < peg.pes(); ++p) {
         const LaneView &lane = lanes[p];
         const std::size_t n = lane.size;
         if (n == 0)
             continue;
         product.resize(n); // chason-lint: allow(CHL002) amortized scratch, capacity survives across calls
-        mulGather(lane.value, lane.winCol, n, x.data(), product.data());
+        mulGather(lane.value, lane.winCol, n, win, product.data());
 
-        // Bank routing table: index 0 is URAM_pvt, then the shared
-        // banks in (distance, source PE) order.
+        // Sums indexed by the uint8 routing tag (Pe::banks()).
         Pe &pe = peg.pe(p);
-        const unsigned depth = pe.migrationDepth();
-        AccumulatorBank *banks[256]; // indexed by the uint8 routing tag
-        banks[0] = &pe.pvtBank();
-        for (unsigned d = 1; d <= depth; ++d)
-            for (unsigned s = 0; s < pes; ++s)
-                banks[1 + (d - 1) * pes + s] = &pe.sharedBank(d, s);
+        AccumulatorBank *banks = pe.banks();
+        const unsigned count = std::min(pe.bankCount(), 256u);
+        float *sums[256];
+        for (unsigned b = 0; b < count; ++b)
+            sums[b] = banks[b].sums();
 
         const std::uint32_t *addr = lane.addr;
-        const std::uint32_t *beat = lane.beat;
         const std::uint8_t *bank = lane.bank;
         const float *prod = product.data();
+        // Bit (tag % 64) marks the banks written, for the next reset.
+        std::uint64_t written = 0;
         for (std::size_t i = 0; i < n; ++i) {
-            banks[bank[i]]->accumulate(
-                addr[i], prod[i],
-                beat_base + static_cast<std::int64_t>(beat[i]),
-                config.rawDistance);
+            sums[bank[i]][addr[i]] += prod[i];
+            written |= std::uint64_t{1} << (bank[i] & 63u);
+        }
+        for (unsigned b = 0; b < count; ++b) {
+            if ((written >> (b & 63u)) & 1u)
+                banks[b].markWritten();
         }
     }
     // chason-lint: end-hot
-}
-
-void
-streamChannelSoa(const sched::ChannelWindowSchedule &cws, Peg &peg,
-                 const XWindowBuffer &x, std::int64_t beat_base,
-                 const sched::SchedConfig &config, unsigned channel,
-                 unsigned migration_depth, StreamScratch &scratch)
-{
-    packChannel(cws, config, channel, migration_depth, x.base(),
-                x.length(), scratch.packed);
-    ChannelLanes lanes;
-    for (std::size_t p = 0; p < lanes.size(); ++p)
-        lanes[p] = scratch.packed.lanes[p].view();
-    macPackedChannel(lanes, peg, x, beat_base, config, scratch.product);
 }
 
 StreamPlan::StreamPlan(const sched::Schedule &schedule,
@@ -260,58 +297,86 @@ StreamPlan::StreamPlan(const sched::Schedule &schedule,
     : channels_(schedule.config.channels),
       pes_(schedule.config.pesPerGroup()),
       migrationDepth_(migration_depth),
-      phaseCount_(schedule.phases.size()), nnz_(schedule.nnz)
+      phaseCount_(schedule.phases.size()), rows_(schedule.rows),
+      cols_(schedule.cols), nnz_(schedule.nnz)
 {
     const sched::SchedConfig &sc = schedule.config;
 
-    // Counting pass: the valid slots of every lane, then exclusive
-    // prefix sums into lane start offsets.
+    // Counting pass: the valid slots of every lane (channel-parallel:
+    // channels own disjoint lanes), then exclusive prefix sums into
+    // lane start offsets.
+    const unsigned jobs = core::resolveJobs(0);
     laneStart_.assign(phaseCount_ * channels_ * pes_ + 1, 0);
-    std::size_t lane = 0;
-    for (const sched::WindowSchedule &phase : schedule.phases) {
-        for (unsigned ch = 0; ch < channels_; ++ch, lane += pes_) {
-            for (const sched::Beat &beat : phase.channels[ch].beats)
+    core::fanOut(jobs, channels_, [&](std::size_t ch) {
+        for (std::size_t i = 0; i < phaseCount_; ++i) {
+            const std::size_t lane0 = (i * channels_ + ch) * pes_;
+            for (const sched::Beat &beat :
+                 schedule.phases[i].channels[ch].beats)
                 for (unsigned p = 0; p < pes_; ++p)
-                    laneStart_[lane + p + 1] += beat.slots[p].valid;
+                    laneStart_[lane0 + p + 1] += beat.slots[p].valid;
         }
-    }
+    });
     for (std::size_t i = 1; i < laneStart_.size(); ++i)
         laneStart_[i] += laneStart_[i - 1];
     slots_ = laneStart_.back();
 
     // Packing pass into the exactly-sized arena (layout: see header).
+    // Channels own disjoint lanes, so they pack in parallel; each walks
+    // its phases in order against one flat RAW stamp array of its own,
+    // [pe][routing tag][address], cleared at every pass change like
+    // the banks are.
     arena_ = std::make_unique_for_overwrite<std::byte[]>(
         slots_ * kPlanBytesPerSlot);
     float *value = reinterpret_cast<float *>(arena_.get());
     std::uint32_t *win_col = reinterpret_cast<std::uint32_t *>(
         arena_.get() + slots_ * 4);
     std::uint32_t *addr = win_col + slots_;
-    std::uint32_t *beat = addr + slots_;
     std::uint8_t *bank =
-        reinterpret_cast<std::uint8_t *>(arena_.get() + slots_ * 16);
-    std::array<std::size_t, sched::kMaxPesPerGroup> cursor{};
-    lane = 0;
-    for (const sched::WindowSchedule &phase : schedule.phases) {
-        const std::uint32_t win_base = phase.window * sc.windowCols;
-        const std::uint32_t win_len = std::min<std::uint32_t>(
-            sc.windowCols, schedule.cols - win_base);
-        for (unsigned ch = 0; ch < channels_; ++ch, lane += pes_) {
+        reinterpret_cast<std::uint8_t *>(arena_.get() + slots_ * 12);
+    const std::size_t banks = static_cast<std::size_t>(pes_) *
+        (1 + static_cast<std::size_t>(migration_depth) * pes_);
+    const std::size_t banks_per_pe = banks / pes_;
+    core::fanOut(jobs, channels_, [&](std::size_t c) {
+        const unsigned ch = static_cast<unsigned>(c);
+        std::vector<std::int32_t> stamps;
+        std::size_t depth = 0;
+        std::array<std::size_t, sched::kMaxPesPerGroup> cursor{};
+        std::int64_t beat_base = 0;
+        for (std::size_t i = 0; i < phaseCount_; ++i) {
+            const sched::WindowSchedule &phase = schedule.phases[i];
+            if (i == 0 || phase.pass != schedule.phases[i - 1].pass) {
+                depth = passBankDepth(schedule, phase.pass);
+                stamps.assign(banks * depth, BankStamps::kNeverWritten);
+            }
+            const std::size_t lane0 = (i * channels_ + ch) * pes_;
             for (unsigned p = 0; p < pes_; ++p)
-                cursor[p] = laneStart_[lane + p];
+                cursor[p] = laneStart_[lane0 + p];
+            // Captures by value where they can: the arena's byte stores
+            // may alias anything captured by reference.
             forEachPackedSlot(
-                phase.channels[ch], sc, ch, migration_depth, win_base,
-                win_len,
-                [&](unsigned p, float v, std::uint32_t col,
-                    std::uint32_t a, std::uint32_t t, std::uint8_t b) {
-                    const std::size_t i = cursor[p]++;
-                    value[i] = v;
-                    win_col[i] = col;
-                    addr[i] = a;
-                    beat[i] = t;
-                    bank[i] = b;
+                phase.channels[ch], sc, ch, migration_depth,
+                phaseWindow(schedule, phase), beat_base,
+                [st = stamps.data(), depth, banks_per_pe,
+                 raw = sc.rawDistance](unsigned p, std::uint8_t b,
+                                       std::uint32_t a,
+                                       std::int64_t beat) {
+                    BankStamps::checkStamp(
+                        st + (p * banks_per_pe + b) * depth, depth, a,
+                        beat, raw);
+                },
+                [&cursor, value, win_col, addr,
+                 bank](unsigned p, float v, std::uint32_t col,
+                       std::uint32_t a, std::uint8_t b) {
+                    const std::size_t k = cursor[p]++;
+                    value[k] = v;
+                    win_col[k] = col;
+                    addr[k] = a;
+                    bank[k] = b;
                 });
+            beat_base += static_cast<std::int64_t>(phase.alignedBeats) +
+                sc.rawDistance;
         }
-    }
+    });
 }
 
 LaneView
@@ -324,8 +389,7 @@ StreamPlan::lane(std::size_t index) const
     return {reinterpret_cast<const float *>(base) + begin,
             words + begin,
             words + slots_ + begin,
-            words + 2 * slots_ + begin,
-            reinterpret_cast<const std::uint8_t *>(base + slots_ * 16) +
+            reinterpret_cast<const std::uint8_t *>(base + slots_ * 12) +
                 begin,
             laneStart_[index + 1] - begin};
 }
@@ -361,7 +425,8 @@ StreamPlan::matches(const sched::Schedule &schedule,
 {
     return channels_ == schedule.config.channels &&
         migrationDepth_ == migration_depth &&
-        phaseCount_ == schedule.phases.size() && nnz_ == schedule.nnz;
+        phaseCount_ == schedule.phases.size() && rows_ == schedule.rows &&
+        cols_ == schedule.cols && nnz_ == schedule.nnz;
 }
 
 } // namespace arch

@@ -10,16 +10,20 @@
  * each PE to flat value/column/address/bank arrays, then the *MAC* pass
  * multiplies against the x window as one dense loop over those arrays
  * (AVX2 gather+mul when the CPU supports it, portable scalar otherwise)
- * and accumulates the products in beat order through the exact same
- * AccumulatorBank::accumulate as the slow path — RAW checking included.
+ * and adds the products, in beat order, straight into the bank sums.
+ *
+ * Every per-slot model check lives in the pack pass: window bounds,
+ * routing tags and bank reach, and the three checks
+ * AccumulatorBank::accumulate makes (bank depth, beat range, RAW
+ * distance, through BankStamps::check). The MAC pass checks nothing,
+ * and it is the one MAC loop of the simulator.
  *
  * The pack output depends only on the schedule and the geometry — not
  * on x — so a caller that streams the same schedule repeatedly (the
  * whole point of offline scheduling: one schedule, many SpMV calls) can
- * pack every channel-phase once into a StreamPlan and amortize the
- * beat-list traversal away entirely. simulateStreaming accepts an
- * optional plan; the per-run work then collapses to the dense multiply
- * and the checked accumulations.
+ * pack every channel-phase once into a StreamPlan, which makes every
+ * check once at build time against stamps of its own. The unplanned
+ * path packs per run and checks against the banks' own stamps.
  *
  * Bit-identity: a bank only ever receives products from its owning
  * (channel, PE) lane, and this path preserves the beat order within
@@ -28,7 +32,8 @@
  * multiply before the add (never fused into an FMA), matching the
  * two-step multiply/accumulate of Pe::process. The cycle accounting is
  * untouched — this is purely a host-speed rewrite of the functional
- * model's inner loop.
+ * model's inner loop. Channels never share a bank, so the channels of
+ * a pass may stream concurrently, each into its own Peg.
  */
 
 #ifndef CHASON_ARCH_STREAM_SOA_H_
@@ -47,7 +52,7 @@ namespace chason {
 namespace arch {
 
 /**
- * Read-only view of the valid slots one PE consumes in one phase: five
+ * Read-only view of the valid slots one PE consumes in one phase: four
  * parallel arrays of `size` entries, in beat order. Both the plan-less
  * scratch lanes and StreamPlan's arena hand these to the MAC pass.
  */
@@ -56,8 +61,7 @@ struct LaneView
     const float *value = nullptr;          ///< matrix values
     const std::uint32_t *winCol = nullptr; ///< window-local column
     const std::uint32_t *addr = nullptr;   ///< local URAM address
-    const std::uint32_t *beat = nullptr;   ///< beat offset within phase
-    const std::uint8_t *bank = nullptr;    ///< 0 = pvt, 1+... = shared
+    const std::uint8_t *bank = nullptr;    ///< routing tag, Pe::banks()
     std::size_t size = 0;
 };
 
@@ -70,7 +74,6 @@ struct PackedLane
     std::vector<float> value;
     std::vector<std::uint32_t> winCol;
     std::vector<std::uint32_t> addr;
-    std::vector<std::uint32_t> beat;
     std::vector<std::uint8_t> bank;
 
     void
@@ -79,62 +82,68 @@ struct PackedLane
         value.clear();
         winCol.clear();
         addr.clear();
-        beat.clear();
         bank.clear();
     }
 
     LaneView
     view() const
     {
-        return {value.data(), winCol.data(), addr.data(),
-                beat.data(),  bank.data(),   value.size()};
+        return {value.data(), winCol.data(), addr.data(), bank.data(),
+                value.size()};
     }
 };
 
-/** All PE lanes of one channel-phase (the plan-less path's staging). */
-struct PackedChannel
-{
-    std::array<PackedLane, sched::kMaxPesPerGroup> lanes;
-};
-
-/** Reusable scratch for plan-less streaming: lanes + product buffer. */
+/**
+ * Reusable scratch of one channel: the unplanned path's packed lanes
+ * and the MAC pass's product buffer. Concurrent channels each need
+ * their own.
+ */
 struct StreamScratch
 {
-    PackedChannel packed;
+    std::array<PackedLane, sched::kMaxPesPerGroup> lanes;
     std::vector<float> product;
 };
 
-/**
- * Pack one channel's beat list of one phase into per-PE SoA lanes.
- * Performs every model check Pe::process would have made per slot
- * (window bounds, routing tags, bank reach). @p win_base / @p win_len
- * describe the x window the phase will stream against.
- */
-void packChannel(const sched::ChannelWindowSchedule &cws,
-                 const sched::SchedConfig &config, unsigned channel,
-                 unsigned migration_depth, std::uint32_t win_base,
-                 std::uint32_t win_len, PackedChannel &out);
+/** The x window one phase streams against: [base, base + length). */
+struct XWindow
+{
+    std::uint32_t base = 0;
+    std::uint32_t length = 0;
+};
+
+/** The x window of @p phase; panics if it reaches beyond the columns. */
+XWindow phaseWindow(const sched::Schedule &schedule,
+                    const sched::WindowSchedule &phase);
+
+/** Rows pass @p pass of @p schedule covers. */
+std::uint64_t passRows(const sched::Schedule &schedule, std::uint32_t pass);
+
+/** Bank depth pass @p pass uses: its rows per lane, rounded up. */
+std::uint32_t passBankDepth(const sched::Schedule &schedule,
+                            std::uint32_t pass);
 
 /**
- * MAC pass over pre-packed lanes: dense multiply against @p x, then
- * in-order accumulation through @p peg's checked banks. @p product is
- * caller-provided scratch, resized per lane.
+ * The unplanned path for one channel-phase: pack @p cws into
+ * @p scratch's lanes, checking every slot on the way — window bounds,
+ * routing tags, bank reach, and against @p peg's bank stamps at stream
+ * beat @p beat_base + t — then run macChannel. Same multiplies, same
+ * additions in the same per-bank order, same checks as calling
+ * Pe::process on every slot.
  */
-void macPackedChannel(const ChannelLanes &lanes, Peg &peg,
-                      const XWindowBuffer &x, std::int64_t beat_base,
-                      const sched::SchedConfig &config,
-                      std::vector<float> &product);
+void streamChannel(const sched::ChannelWindowSchedule &cws,
+                   const sched::SchedConfig &config, unsigned channel,
+                   unsigned migration_depth, XWindow window,
+                   std::int64_t beat_base, const float *x, Peg &peg,
+                   StreamScratch &scratch);
 
 /**
- * Pack + MAC in one call (the plan-less path): stream one channel's
- * beat list of one phase into @p peg. Performs the same multiplies,
- * accumulations and model checks as calling Pe::process on every slot,
- * in the same per-bank order.
+ * The MAC pass over checked lanes: dense multiply against the window
+ * @p win (x at the window base), then in-order unchecked accumulation
+ * into @p peg's bank sums. @p product is caller-provided scratch,
+ * resized per lane.
  */
-void streamChannelSoa(const sched::ChannelWindowSchedule &cws, Peg &peg,
-                      const XWindowBuffer &x, std::int64_t beat_base,
-                      const sched::SchedConfig &config, unsigned channel,
-                      unsigned migration_depth, StreamScratch &scratch);
+void macChannel(const ChannelLanes &lanes, Peg &peg, const float *win,
+                std::vector<float> &product);
 
 /**
  * Every channel-phase of one schedule, packed once. Build a plan when
@@ -144,23 +153,27 @@ void streamChannelSoa(const sched::ChannelWindowSchedule &cws, Peg &peg,
  * immutable after construction and safe to share across threads.
  *
  * Layout: one exactly-sized arena per plan, filled by two passes over
- * the beats — a counting pass sizes every lane, a packing pass (which
- * makes all of packChannel's model checks) fills them. The arena holds
- * five sections of nnz entries each, in this order:
+ * the beats — a counting pass sizes every lane, a packing pass fills
+ * them. The packing pass makes every per-slot check streamChannel
+ * makes, the RAW checks against a stamp array of its own, so a replay
+ * checks nothing. The arena holds four sections of nnz entries each,
+ * in this order:
  *
  *     value[nnz] (f32) | winCol[nnz] (u32) | addr[nnz] (u32)
- *     | beat[nnz] (u32) | bank[nnz] (u8)
+ *     | bank[nnz] (u8)
  *
  * Within every section the entries are grouped by lane, lanes ordered
  * (phase, channel, PE); lane i occupies [laneStart_[i],
  * laneStart_[i + 1]) in each section. A lane is therefore an
- * offset/length view into the arena, and the plan costs 17 bytes per
+ * offset/length view into the arena, and the plan costs 13 bytes per
  * valid slot (one per non-zero) plus one offset per lane
  * (memoryBytes()).
  *
  * The plan captures schedule *content*; it must be built from the same
  * schedule object (or a bit-identical copy) and the same migration
- * depth as the runs it accompanies — matches() spot-checks geometry.
+ * depth as the runs it accompanies — matches() spot-checks geometry,
+ * including the row and column counts the replay's unchecked bank
+ * and window indexing rely on.
  */
 class StreamPlan
 {
@@ -190,11 +203,13 @@ class StreamPlan
     unsigned pes_ = 0;
     unsigned migrationDepth_ = 0;
     std::size_t phaseCount_ = 0;
-    std::size_t nnz_ = 0;   ///< the schedule's, for matches()
+    std::uint32_t rows_ = 0; ///< the schedule's, for matches()
+    std::uint32_t cols_ = 0; ///< the schedule's, for matches()
+    std::size_t nnz_ = 0;    ///< the schedule's, for matches()
     std::size_t slots_ = 0; ///< valid slots = entries per section
     /** Lane start offsets, [phase][channel][pe] flattened, + end. */
     std::vector<std::size_t> laneStart_;
-    /** The five sections described above, back to back. */
+    /** The four sections described above, back to back. */
     std::unique_ptr<std::byte[]> arena_;
 };
 

@@ -5,12 +5,13 @@
  * std::getenv returns a pointer into the environment block, which a
  * concurrent setenv may invalidate — the reason clang-tidy's
  * concurrency-mt-unsafe flags every call site. Chasoň never calls
- * setenv, and every lookup happens at tool/bench startup or inside a
- * once-per-thread constructor, but rather than suppress the check
- * tree-wide (which would also hide a future rand() or strtok()), all
- * reads funnel through these helpers: the value is copied out under
- * the single audited call, and the suppression lives on exactly one
- * line.
+ * setenv (tests do, from single-threaded test bodies), and lookups
+ * happen at tool/bench startup, inside a once-per-thread constructor
+ * or in core::resolveJobs when a fan-out sizes itself, but rather
+ * than suppress the check tree-wide (which would also hide a future
+ * rand() or strtok()), all reads funnel through these helpers: the
+ * value is copied out under the single audited call, and the
+ * suppression lives on exactly one line.
  */
 
 #ifndef CHASON_COMMON_ENV_H_

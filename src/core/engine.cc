@@ -5,16 +5,26 @@
 
 #include "core/engine.h"
 
+#include <algorithm>
+
 #include "arch/chason_accel.h"
 #include "arch/power.h"
 #include "arch/serpens_accel.h"
 #include "common/logging.h"
+#include "core/thread_pool.h"
 #include "sched/crhcs.h"
 #include "sched/pe_aware.h"
 #include "trace/trace.h"
 
 namespace chason {
 namespace core {
+
+namespace {
+
+/** Rows per task of the row-parallel reference check. */
+constexpr std::size_t kReferenceRowsPerBlock = 4096;
+
+} // namespace
 
 Engine::Engine(Kind kind, arch::ArchConfig config)
     : kind_(kind), config_(config)
@@ -113,14 +123,26 @@ Engine::runScheduled(const sched::Schedule &schedule,
     report.totalBytes = run.traffic.totalBytes();
 
     // Functional verification against the double-precision reference,
-    // honouring the alpha/beta kernel contract.
-    std::vector<double> reference = sparse::spmvReference(a, x);
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-        reference[i] *= params.alpha;
-        if (params.beta != 0.0f)
-            reference[i] += static_cast<double>(params.beta) *
-                (*params.yIn)[i];
-    }
+    // honouring the alpha/beta kernel contract. Row blocks fan out over
+    // the process-wide pool; every row's sum is computed exactly as
+    // sparse::spmvReference computes it.
+    std::vector<double> reference(a.rows());
+    const std::size_t rows = a.rows();
+    const std::size_t blocks =
+        (rows + kReferenceRowsPerBlock - 1) / kReferenceRowsPerBlock;
+    fanOut(resolveJobs(0), blocks, [&](std::size_t b) {
+        const std::size_t first = b * kReferenceRowsPerBlock;
+        const auto begin = static_cast<std::uint32_t>(first);
+        const auto end = static_cast<std::uint32_t>(
+            std::min(rows, first + kReferenceRowsPerBlock));
+        sparse::spmvReferenceRows(a, x, begin, end, reference.data());
+        for (std::uint32_t i = begin; i < end; ++i) {
+            reference[i] *= params.alpha;
+            if (params.beta != 0.0f)
+                reference[i] += static_cast<double>(params.beta) *
+                    (*params.yIn)[i];
+        }
+    });
     report.functionalError = sparse::maxRelativeError(run.y, reference);
 
     if (y_out)

@@ -29,6 +29,9 @@
 
 #include <algorithm>
 
+#include <pthread.h>
+
+#include "common/env.h"
 #include "common/logging.h"
 
 namespace chason {
@@ -384,6 +387,104 @@ ThreadPool::parallelForDynamic(
         for (std::size_t i = begin; i < end; ++i)
             body(i);
     });
+}
+
+// --------------------------------------------------------------------
+// The process-wide pool and fanOut
+
+namespace {
+
+/** Set in a forked child: the process pool's workers are gone. */
+std::atomic<bool> forkedChild{false};
+
+void
+onForkChild()
+{
+    forkedChild.store(true, std::memory_order_relaxed);
+}
+
+ThreadPool &
+processPool(unsigned requested)
+{
+    static ThreadPool *const pool = [requested] {
+        ::pthread_atfork(nullptr, nullptr, &onForkChild);
+        return new ThreadPool(
+            std::max(requested, ThreadPool::defaultWorkers()));
+    }();
+    return *pool;
+}
+
+/**
+ * Shared state of one fanOut call. Helpers hold it by shared_ptr, so a
+ * helper that starts after the call has returned still finds live
+ * state — and no index left to claim, which is the only path that
+ * dereferences body.
+ */
+struct FanOut
+{
+    FanOut(std::size_t count,
+           const std::function<void(std::size_t)> &fn)
+        : n(count), body(&fn)
+    {
+    }
+
+    /** Claim and run indices until none are left. */
+    void
+    drain()
+    {
+        std::size_t ran = 0;
+        for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+             i < n; i = next.fetch_add(1, std::memory_order_relaxed)) {
+            (*body)(i);
+            ++ran;
+        }
+        if (ran == 0)
+            return;
+        common::MutexLock lock(mutex);
+        finished += ran;
+        if (finished == n)
+            done.notify_all();
+    }
+
+    const std::size_t n;
+    const std::function<void(std::size_t)> *const body;
+    std::atomic<std::size_t> next{0};
+    common::Mutex mutex;
+    common::CondVar done;
+    std::size_t finished GUARDED_BY(mutex) = 0;
+};
+
+} // namespace
+
+unsigned
+resolveJobs(unsigned jobs)
+{
+    if (jobs != 0)
+        return jobs;
+    const std::uint64_t env = common::envUint("CHASON_JOBS", 0);
+    return env > 0 ? static_cast<unsigned>(env)
+                   : ThreadPool::defaultWorkers();
+}
+
+void
+fanOut(unsigned jobs, std::size_t n,
+       const std::function<void(std::size_t)> &body)
+{
+    if (jobs <= 1 || n <= 1 ||
+        forkedChild.load(std::memory_order_relaxed)) {
+        for (std::size_t i = 0; i < n; ++i)
+            body(i);
+        return;
+    }
+    ThreadPool &pool = processPool(jobs);
+    auto state = std::make_shared<FanOut>(n, body);
+    const std::size_t helpers = std::min<std::size_t>(jobs, n) - 1;
+    for (std::size_t h = 0; h < helpers; ++h)
+        pool.post([state] { state->drain(); });
+    state->drain();
+    common::MutexLock lock(state->mutex);
+    while (state->finished != n)
+        state->done.wait(state->mutex);
 }
 
 } // namespace core

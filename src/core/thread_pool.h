@@ -2,11 +2,14 @@
  * @file
  * Work-stealing worker thread pool for host-side batch work.
  *
- * The pool backs core::BatchEngine and the CrHCS phase fan-out. Each
- * worker owns a chase-lev-style deque: the owner pushes and pops at the
- * bottom (LIFO, cache-warm), idle workers steal single tasks from the
- * top of a victim's deque (FIFO, oldest first). Tasks posted from
- * outside the pool land in a shared FIFO inbox that workers drain
+ * The class backs core::BatchEngine's pool and the one process-wide
+ * pool behind fanOut(), which serves the CrHCS phase fan-out, the
+ * simulator's channel fan-out, the StreamPlan build and the reference
+ * check's row blocks. Each worker owns a chase-lev-style deque: the
+ * owner pushes and pops at the bottom (LIFO, cache-warm), idle workers
+ * steal single tasks from the top of a victim's deque (FIFO, oldest
+ * first). Tasks posted from outside the pool land in a shared FIFO
+ * inbox that workers drain
  * before stealing from each other — with one worker this degenerates to
  * a plain FIFO queue, which is what keeps the documented `--jobs 1`
  * ordering guarantee intact. Tasks must not throw (schedulers and
@@ -203,6 +206,32 @@ class ThreadPool
     std::atomic<bool> stopping_{false};
     std::vector<std::thread> threads_;
 };
+
+/**
+ * Worker count for a fan-out: @p jobs itself when nonzero, else the
+ * CHASON_JOBS environment variable, else ThreadPool::defaultWorkers().
+ * 1 means run inline on the calling thread.
+ */
+unsigned resolveJobs(unsigned jobs);
+
+/**
+ * body(0) .. body(n-1) on the process-wide pool, at most @p jobs at a
+ * time, returning when every call has finished. The calling thread
+ * claims indices alongside up to jobs - 1 pool workers, so a fan-out
+ * never waits for a busy pool to pick it up: at worst the caller runs
+ * every index itself. With jobs <= 1, or in a forked child (which
+ * inherits the pool object but none of its threads), the calls run
+ * inline in index order. Callers write results into slots keyed by
+ * index, so every jobs value gives bit-identical results. May be
+ * called from inside a body (nested fan-out).
+ *
+ * The pool is created on first use, at least as wide as that request
+ * and the hardware, and never destroyed: a static destructor could
+ * otherwise join it during exit() while another static still fans out
+ * through it.
+ */
+void fanOut(unsigned jobs, std::size_t n,
+            const std::function<void(std::size_t)> &body);
 
 } // namespace core
 } // namespace chason

@@ -31,26 +31,23 @@
  * visible to the remainder of the sweep.
  *
  * The (pass, window) phases are mutually independent, so schedule()
- * fans them out over a shared core::ThreadPool when jobs > 1. Each
- * phase's placement + migration is a pure function of (PhaseWork,
- * config), and results land in a pre-sized vector slot keyed by phase
- * index — so the parallel path is bit-identical to the sequential one
- * and the Scheduler purity contract (and ScheduleCache keying) is
- * preserved. Trace sinks are thread-local; when one is active the
- * sequential path is used so span attribution stays complete.
+ * fans them out over the process-wide pool (core::fanOut) when
+ * jobs > 1. Each phase's placement + migration is a pure function of
+ * (PhaseWork, config), and results land in a pre-sized vector slot
+ * keyed by phase index — so the parallel path is bit-identical to the
+ * sequential one and the Scheduler purity contract (and ScheduleCache
+ * keying) is preserved. Trace sinks are thread-local; when one is
+ * active the sequential path is used so span attribution stays
+ * complete.
  */
 
 #include "sched/crhcs.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstring>
-#include <functional>
 #include <limits>
 #include <vector>
-
-#include <pthread.h>
 
 #include "common/env.h"
 #include "core/thread_pool.h"
@@ -517,77 +514,6 @@ migrateSequential(WindowSchedule &phase, const SchedConfig &config)
     }
 }
 
-/**
- * 0 = auto: CHASON_SCHED_JOBS, then CHASON_JOBS, then the hardware
- * thread count. CHASON_JOBS is the knob the bench harness documents
- * for every worker pool; honoring it here keeps one environment
- * variable in control of all parallelism (the more specific
- * CHASON_SCHED_JOBS still wins when both are set).
- */
-unsigned
-resolveJobs(unsigned jobs)
-{
-    if (jobs != 0)
-        return jobs;
-    for (const char *name : {"CHASON_SCHED_JOBS", "CHASON_JOBS"}) {
-        const std::uint64_t v = common::envUint(name, 0);
-        if (v > 0)
-            return static_cast<unsigned>(v);
-    }
-    return core::ThreadPool::defaultWorkers();
-}
-
-/** Set in a forked child: the scheduling pool's workers are gone. */
-std::atomic<bool> forkedChild{false};
-
-void
-onForkChild()
-{
-    forkedChild.store(true, std::memory_order_relaxed);
-}
-
-/**
- * Shared pool for phase fan-out. Separate from BatchEngine's pool on
- * purpose: a BatchEngine worker calling schedule() blocks in
- * parallelFor on *this* pool, which is safe, whereas recursively
- * waiting on its own pool would deadlock. Sized on first use, at least
- * as wide as the request that created it.
- *
- * Lifecycle: the pool is created on first use and never destroyed. A
- * static destructor could otherwise join it during exit() while another
- * static still schedules through it; a process may exit with its
- * workers parked. A forked child (a death test, say) inherits the pool
- * object but none of its threads, so the pthread_atfork child handler
- * registered with the pool makes fanOut() run inline there.
- */
-core::ThreadPool &
-schedulingPool(unsigned requested)
-{
-    static core::ThreadPool *const pool = [requested] {
-        ::pthread_atfork(nullptr, nullptr, &onForkChild);
-        return new core::ThreadPool(
-            std::max(requested, core::ThreadPool::defaultWorkers()));
-    }();
-    return *pool;
-}
-
-/**
- * body(0) .. body(n-1) on the scheduling pool, or in index order on the
- * calling thread in a forked child. Callers write results into slots
- * keyed by index, so both are bit-identical.
- */
-void
-fanOut(unsigned jobs, std::size_t n,
-       const std::function<void(std::size_t)> &body)
-{
-    if (forkedChild.load(std::memory_order_relaxed)) {
-        for (std::size_t i = 0; i < n; ++i)
-            body(i);
-        return;
-    }
-    schedulingPool(jobs).parallelForDynamic(n, 1, body);
-}
-
 } // namespace
 
 void
@@ -688,7 +614,7 @@ CrhcsScheduler::migrateWithMasks(WindowSchedule &phase,
         pool[ch].prefill(kLookahead);
     };
     if (jobs > 1 && channels > 1) {
-        fanOut(jobs, channels, setupChannel);
+        core::fanOut(jobs, channels, setupChannel);
     } else {
         for (unsigned ch = 0; ch < channels; ++ch)
             setupChannel(ch);
@@ -914,7 +840,11 @@ CrhcsScheduler::schedule(const sparse::CsrMatrix &matrix) const
     }
 
     std::vector<WindowSchedule> phases(work_list.size());
-    const unsigned jobs = resolveJobs(jobs_);
+    // The scheduler-specific CHASON_SCHED_JOBS wins over CHASON_JOBS.
+    const unsigned jobs = core::resolveJobs(
+        jobs_ != 0 ? jobs_
+                   : static_cast<unsigned>(
+                         common::envUint("CHASON_SCHED_JOBS", 0)));
     // The balanced strategy takes the mask-carrying fast path:
     // placement emits the free-slot bitmaps as a byproduct and the
     // migration sweep walks them directly, never rescanning beats.
@@ -951,8 +881,8 @@ CrhcsScheduler::schedule(const sparse::CsrMatrix &matrix) const
                           return work_list[a].nnz > work_list[b].nnz;
                       return a < b;
                   });
-        fanOut(jobs, work_list.size(),
-               [&](std::size_t k) { runPhase(order[k], jobs); });
+        core::fanOut(jobs, work_list.size(),
+                     [&](std::size_t k) { runPhase(order[k], jobs); });
         return finalize(matrix, name(), std::move(phases));
     }
 

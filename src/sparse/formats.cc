@@ -371,17 +371,30 @@ spmvReference(const CsrMatrix &a, const std::vector<float> &x)
     chason_assert(x.size() == a.cols(), "x has %zu entries, matrix has %u "
                   "columns", x.size(), a.cols());
     std::vector<double> y(a.rows(), 0.0);
+    spmvReferenceRows(a, x, 0, a.rows(), y.data());
+    return y;
+}
+
+void
+spmvReferenceRows(const CsrMatrix &a, const std::vector<float> &x,
+                  std::uint32_t row_begin, std::uint32_t row_end,
+                  double *y)
+{
+    chason_assert(x.size() == a.cols(), "x has %zu entries, matrix has %u "
+                  "columns", x.size(), a.cols());
+    chason_assert(row_begin <= row_end && row_end <= a.rows(),
+                  "rows [%u, %u) outside a matrix of %u rows", row_begin,
+                  row_end, a.rows());
     const auto &row_ptr = a.rowPtr();
     const auto &col_idx = a.colIdx();
     const auto &values = a.values();
-    for (std::uint32_t r = 0; r < a.rows(); ++r) {
+    for (std::uint32_t r = row_begin; r < row_end; ++r) {
         double acc = 0.0;
         for (std::size_t i = row_ptr[r]; i < row_ptr[r + 1]; ++i)
             acc += static_cast<double>(values[i]) *
                 static_cast<double>(x[col_idx[i]]);
         y[r] = acc;
     }
-    return y;
 }
 
 std::vector<float>

@@ -181,6 +181,16 @@ std::vector<double> spmvReference(const CsrMatrix &a,
                                   const std::vector<float> &x);
 
 /**
+ * spmvReference for rows [@p row_begin, @p row_end) only, written to
+ * @p y[row_begin, row_end). Each row's sum is the same double sum in
+ * the same order, so disjoint row ranges may run concurrently and
+ * still reproduce spmvReference bit for bit.
+ */
+void spmvReferenceRows(const CsrMatrix &a, const std::vector<float> &x,
+                       std::uint32_t row_begin, std::uint32_t row_end,
+                       double *y);
+
+/**
  * Single-precision CPU SpMV with row-major accumulation order (the
  * natural CSR loop); used to bound the accumulation-order error of the
  * accelerators in tests.

@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "arch/chason_accel.h"
 #include "arch/serpens_accel.h"
+#include "arch/stream_soa.h"
 #include "common/rng.h"
 #include "sched/crhcs.h"
 #include "sched/pe_aware.h"
 #include "sparse/generators.h"
+#include "verify/mutate.h"
 
 namespace chason {
 namespace arch {
@@ -83,6 +87,75 @@ TEST(SerpensDeath, RejectsMigratedSchedules)
     std::vector<float> x(a.cols(), 1.0f);
     EXPECT_DEATH(SerpensAccelerator(serpens_cfg).run(sch, x),
                  "migrated");
+    // A plan makes the same check once, when it is built.
+    const unsigned serpens_depth =
+        SerpensAccelerator(serpens_cfg).migrationDepth();
+    EXPECT_DEATH(StreamPlan(sch, serpens_depth), "migrated");
+}
+
+/** A CrHCS schedule with one write moved into another's RAW window. */
+sched::Schedule
+rawHazardSchedule()
+{
+    Rng rng(21);
+    const sparse::CsrMatrix a =
+        sparse::zipfRows(1500, 1500, 12000, 1.25, rng);
+    sched::Schedule sch =
+        sched::CrhcsScheduler(sched::SchedConfig{}).schedule(a);
+    const bool corrupted =
+        verify::corruptSchedule(sch, verify::Corruption::kRawDistance);
+    chason_assert(corrupted, "no RAW corruption site in the sample");
+    return sch;
+}
+
+TEST(ChasonDeath, RawHazardPanicsAtPlanBuild)
+{
+    const sched::Schedule sch = rawHazardSchedule();
+    const ChasonAccelerator accel{ArchConfig{}};
+    EXPECT_DEATH(StreamPlan(sch, accel.migrationDepth()), "RAW");
+}
+
+TEST(ChasonDeath, RawHazardPanicsInUnplannedRun)
+{
+    const sched::Schedule sch = rawHazardSchedule();
+    const ChasonAccelerator accel{ArchConfig{}};
+    const std::vector<float> x(sch.cols, 1.0f);
+    EXPECT_DEATH(accel.run(sch, x), "RAW");
+}
+
+TEST(Chason, ConcurrentReplaysOfOnePlanMatchSequential)
+{
+    // A StreamPlan is immutable after construction: two threads may
+    // replay it at once, each with its own x, while both runs also fan
+    // out over the process-wide pool.
+    const ArchConfig cfg = smallArch(1);
+    Rng rng(22);
+    const sparse::CsrMatrix a = sparse::erdosRenyi(2200, 900, 9000, rng);
+    const sched::Schedule sch =
+        sched::CrhcsScheduler(cfg.sched).schedule(a);
+    const ChasonAccelerator accel(cfg);
+    const StreamPlan plan(sch, accel.migrationDepth());
+    const std::vector<float> x0 = sparse::randomVector(a.cols(), rng);
+    const std::vector<float> x1 = sparse::randomVector(a.cols(), rng);
+    const RunResult want0 = accel.run(sch, x0);
+    const RunResult want1 = accel.run(sch, x1);
+
+    RunResult got0;
+    RunResult got1;
+    std::thread t0([&] {
+        for (int i = 0; i < 4; ++i)
+            got0 = accel.run(sch, plan, x0);
+    });
+    std::thread t1([&] {
+        for (int i = 0; i < 4; ++i)
+            got1 = accel.run(sch, plan, x1);
+    });
+    t0.join();
+    t1.join();
+    EXPECT_TRUE(got0.y == want0.y);
+    EXPECT_TRUE(got1.y == want1.y);
+    EXPECT_EQ(got0.cycles.total(), want0.cycles.total());
+    EXPECT_EQ(got1.cycles.total(), want1.cycles.total());
 }
 
 TEST(Chason, RunsSerpensSchedulesToo)

@@ -4,25 +4,36 @@
  *
  * The rewrite's contract is that none of its speed mechanisms —
  * parallel phase scheduling (jobs > 1), the SoA/AVX2 streaming core,
- * the precomputed StreamPlan, PEG pooling, the blocked column scatter —
- * may change one bit of any result. These tests pin that contract on
- * three R-MAT tiers: parallel CrHCS must serialize to the exact bytes
- * of the sequential schedule, the planned simulation must reproduce
- * run() exactly (y, every cycle counter, the report JSON), and the
- * cache-blocked scatter must produce the direct scatter's arrays.
+ * the precomputed StreamPlan, PEG pooling, the channel-parallel
+ * simulation and row-parallel reference check, the blocked column
+ * scatter — may change one bit of any result. These tests pin that
+ * contract on three R-MAT tiers: parallel CrHCS must serialize to the
+ * exact bytes of the sequential schedule, the planned simulation must
+ * reproduce run() exactly (y, every cycle counter, the report JSON),
+ * every simulation must be identical at every CHASON_JOBS value, and
+ * the cache-blocked scatter must produce the direct scatter's arrays.
+ *
+ * The setenv calls are sound with respect to env.cc's getenv note: the
+ * test bodies run single-threaded between fan-outs.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <cstring>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "arch/chason_accel.h"
 #include "arch/stream_soa.h"
+#include "common/env.h"
 #include "common/rng.h"
 #include "core/engine.h"
 #include "core/report_json.h"
+#include "sched/analyzer.h"
 #include "sched/crhcs.h"
+#include "sched/pe_aware.h"
 #include "sched/schedule_io.h"
 #include "sparse/csc.h"
 #include "sparse/generators.h"
@@ -135,6 +146,154 @@ TEST(PerfDeterminism, ReportJsonUnchangedByParallelScheduling)
             const std::string jsonN = core::toJson(engine.runScheduled(
                 parallel.schedule(a), a, x, tier.name));
             EXPECT_EQ(json1, jsonN);
+        }
+    }
+}
+
+/** Sets CHASON_JOBS for one scope, restoring the previous value. */
+class ScopedJobs
+{
+  public:
+    explicit ScopedJobs(unsigned jobs)
+        : wasSet_(common::envIsSet("CHASON_JOBS")),
+          previous_(common::envString("CHASON_JOBS"))
+    {
+        ::setenv("CHASON_JOBS", std::to_string(jobs).c_str(), 1);
+    }
+
+    ~ScopedJobs()
+    {
+        if (wasSet_)
+            ::setenv("CHASON_JOBS", previous_.c_str(), 1);
+        else
+            ::unsetenv("CHASON_JOBS");
+    }
+
+    ScopedJobs(const ScopedJobs &) = delete;
+    ScopedJobs &operator=(const ScopedJobs &) = delete;
+
+  private:
+    bool wasSet_;
+    std::string previous_;
+};
+
+/** Everything one simulation produces that a fan-out could disturb. */
+struct SimOutcome
+{
+    std::vector<float> y;
+    arch::CycleBreakdown cycles;
+    std::vector<std::uint64_t> traffic; ///< per channel: 4 counters
+    double functionalError = 0.0;
+    std::vector<float> engineY; ///< y as the Engine reports it
+};
+
+SimOutcome
+simulate(const core::Engine &engine, const sched::Schedule &schedule,
+         const arch::StreamPlan *plan, const sparse::CsrMatrix &a,
+         const std::vector<float> &x, const arch::SpmvParams &params)
+{
+    const arch::Accelerator &accel = engine.accelerator();
+    const arch::RunResult run = plan
+        ? accel.run(schedule, *plan, x, params)
+        : accel.run(schedule, x, params);
+    SimOutcome out;
+    out.y = run.y;
+    out.cycles = run.cycles;
+    for (unsigned ch = 0; ch < run.traffic.channels(); ++ch) {
+        const hbm::ChannelCounter &c = run.traffic.channel(ch);
+        out.traffic.insert(out.traffic.end(),
+                           {c.readBeats(), c.writeBeats(),
+                            c.readBytes(), c.writeBytes()});
+    }
+    const core::SpmvReport report =
+        engine.runScheduled(schedule, sched::analyze(schedule), plan, a,
+                            x, "", &out.engineY, params);
+    out.functionalError = report.functionalError;
+    return out;
+}
+
+void
+expectIdentical(const SimOutcome &want, const SimOutcome &got)
+{
+    // operator== on the float vectors is the bit check.
+    EXPECT_TRUE(want.y == got.y);
+    EXPECT_TRUE(want.engineY == got.engineY);
+    EXPECT_EQ(want.cycles.matrixStream, got.cycles.matrixStream);
+    EXPECT_EQ(want.cycles.xLoad, got.cycles.xLoad);
+    EXPECT_EQ(want.cycles.pipelineFill, got.cycles.pipelineFill);
+    EXPECT_EQ(want.cycles.reduction, got.cycles.reduction);
+    EXPECT_EQ(want.cycles.writeback, got.cycles.writeback);
+    EXPECT_EQ(want.cycles.instStream, got.cycles.instStream);
+    EXPECT_EQ(want.cycles.launch, got.cycles.launch);
+    EXPECT_TRUE(want.traffic == got.traffic);
+    // Bitwise, NaN included.
+    EXPECT_EQ(std::memcmp(&want.functionalError, &got.functionalError,
+                          sizeof(double)),
+              0);
+}
+
+/** One matrix under one architecture for the jobs-count sweep. */
+struct SimCase
+{
+    std::string name;
+    arch::ArchConfig config;
+    sparse::CsrMatrix matrix;
+};
+
+/** The three tiers, plus a narrow geometry that forces three passes. */
+std::vector<SimCase>
+simCases()
+{
+    std::vector<SimCase> cases;
+    for (const Tier &tier : kTiers)
+        cases.push_back({tier.name, arch::ArchConfig{}, tierMatrix(tier)});
+    arch::ArchConfig narrow;
+    narrow.sched.channels = 4;
+    narrow.sched.pesOverride = 4;
+    narrow.sched.windowCols = 128;
+    narrow.sched.rowsPerLanePerPass = 64;
+    Rng rng = Rng::forStream(0xD373, 99);
+    cases.push_back(
+        {"multipass", narrow, sparse::erdosRenyi(2200, 500, 8000, rng)});
+    return cases;
+}
+
+TEST(PerfDeterminism, SimulationIsIdenticalAtEveryJobsCount)
+{
+    for (const SimCase &c : simCases()) {
+        SCOPED_TRACE(c.name);
+        const sparse::CsrMatrix &a = c.matrix;
+        Rng rng = Rng::forStream(0xD373F00D, a.nnz());
+        const std::vector<float> x = sparse::randomVector(a.cols(), rng);
+        const std::vector<float> y_in =
+            sparse::randomVector(a.rows(), rng);
+        arch::SpmvParams params;
+        params.alpha = 1.5f;
+        params.beta = -0.75f;
+        params.yIn = &y_in;
+        for (const core::Engine::Kind kind :
+             {core::Engine::Kind::Chason, core::Engine::Kind::Serpens}) {
+            const core::Engine engine(kind, c.config);
+            SCOPED_TRACE(engine.accelerator().name());
+            const sched::Schedule schedule = engine.schedule(a);
+            std::vector<SimOutcome> baseline;
+            for (const unsigned jobs : {1u, 3u, 8u}) {
+                SCOPED_TRACE(jobs);
+                const ScopedJobs scoped(jobs);
+                const arch::StreamPlan plan(
+                    schedule, engine.accelerator().migrationDepth());
+                const SimOutcome unplanned =
+                    simulate(engine, schedule, nullptr, a, x, params);
+                const SimOutcome planned =
+                    simulate(engine, schedule, &plan, a, x, params);
+                expectIdentical(unplanned, planned);
+                if (baseline.empty()) {
+                    baseline.push_back(unplanned);
+                    EXPECT_LE(unplanned.functionalError, 1.0);
+                } else {
+                    expectIdentical(baseline.front(), unplanned);
+                }
+            }
         }
     }
 }

@@ -196,8 +196,8 @@ TEST(WarmPath, PlanBytesAreChargedToTheCache)
     EXPECT_EQ(stats.plansBuilt, 1u);
     EXPECT_EQ(stats.planBytes, plan->memoryBytes());
     EXPECT_EQ(stats.bytes, scheduleBytes + plan->memoryBytes());
-    // The arena layout: 17 bytes per non-zero plus lane offsets.
-    EXPECT_LE(plan->memoryBytes(), 18 * a.nnz());
+    // The arena layout: 13 bytes per non-zero plus lane offsets.
+    EXPECT_LE(plan->memoryBytes(), 14 * a.nnz());
 
     cache.clear();
     EXPECT_TRUE(cache.debugCheckConsistency());

@@ -150,8 +150,9 @@ constexpr LintRuleInfo kLintRules[] = {
      "error"},
     {"CHL002", "HotLoopAllocation",
      "Allocation or container growth inside a marked hot region (the "
-     "simulator inner loop, macPackedChannel's plan replay). Hoist the "
-     "storage out of the region or justify it with an allow marker.",
+     "simulator's per-channel streaming loop, the one MAC loop "
+     "macChannel). Hoist the storage out of the region or justify it "
+     "with an allow marker.",
      "error"},
     {"CHL003", "UncheckedMmapDereference",
      "reinterpret_cast of mmap-derived bytes without a chason_assert "

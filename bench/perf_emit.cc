@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <thread>
 
 #include "common/buildinfo.h"
 #include "common/env.h"
@@ -16,6 +17,26 @@
 
 namespace chason {
 namespace bench {
+
+namespace {
+
+/** The first "model name" of /proc/cpuinfo; "unknown" off Linux. */
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const std::size_t colon = line.find(':');
+        if (colon != std::string::npos && colon + 2 <= line.size())
+            return line.substr(colon + 2);
+    }
+    return "unknown";
+}
+
+} // namespace
 
 const std::vector<PerfTier> &
 perfTiers()
@@ -116,6 +137,11 @@ writePerfJson(const std::string &path, const std::string &bench,
         out.field("bench", bench)
             .field("unit", unit)
             .field("git_rev", gitRevision());
+        out.object("host", [&] {
+            out.field("nproc", std::thread::hardware_concurrency())
+                .field("cpu_model", cpuModel())
+                .field("compiler", __VERSION__);
+        });
         out.array("tiers", [&] {
             for (const PerfSample &s : samples) {
                 out.object([&] {
@@ -147,6 +173,10 @@ writePerfJson(const std::string &path, const std::string &bench,
                         out.field("unplanned_ms", s.unplannedMs);
                     if (s.planBuildMs > 0.0)
                         out.field("plan_build_ms", s.planBuildMs);
+                    if (s.separateMs > 0.0)
+                        out.field("separate_ms", s.separateMs);
+                    if (s.pairMs > 0.0)
+                        out.field("pair_ms", s.pairMs);
                 });
             }
         });

@@ -116,6 +116,12 @@ struct PerfSample
      *  0 = not applicable, the fields are omitted. */
     double unplannedMs = 0.0;
     double planBuildMs = 0.0;
+
+    /** Median of the separate CrHCS + PE-aware builds and of one pair
+     *  build of both (bench_perf_sched); 0 = not applicable, the fields
+     *  are omitted. */
+    double separateMs = 0.0;
+    double pairMs = 0.0;
 };
 
 /** Monotonic timestamp in milliseconds. */
@@ -142,8 +148,11 @@ std::string gitRevision();
  *              ...]}
  *
  * Optional fields (rows/cols, cycles, cold_median_ms, jobs,
- * unplanned_ms, plan_build_ms, ...) are
- * left out when the bench does not measure them.
+ * unplanned_ms, plan_build_ms, separate_ms, pair_ms, ...) are
+ * left out when the bench does not measure them. The "host" object
+ * records the machine the numbers were measured on (hardware threads,
+ * CPU model, compiler), so reports from different hosts are never
+ * read as alike.
  */
 void writePerfJson(const std::string &path, const std::string &bench,
                    const std::string &unit,

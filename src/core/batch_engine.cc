@@ -163,20 +163,9 @@ BatchEngine::schedule(const sched::Scheduler &scheduler,
                       const sparse::CsrMatrix &a,
                       std::uint32_t capacityRowsPerLane)
 {
-    return lookupVerified(scheduler, a, fingerprint(a),
-                          capacityRowsPerLane)
-        ->schedule();
-}
-
-std::shared_ptr<CachedSchedule>
-BatchEngine::lookupVerified(const sched::Scheduler &scheduler,
-                            const sparse::CsrMatrix &a,
-                            const MatrixFingerprint &fp,
-                            std::uint32_t capacityRowsPerLane)
-{
-    auto entry = cache_.lookup(scheduler, a, fp);
-    maybeVerify(entry->schedule(), a, capacityRowsPerLane);
-    return entry;
+    auto schedule = cache_.lookup(scheduler, a, fingerprint(a))->schedule();
+    maybeVerify(schedule, a, capacityRowsPerLane);
+    return schedule;
 }
 
 void
@@ -221,12 +210,23 @@ BatchEngine::runCached(const Engine &engine, const sparse::CsrMatrix &a,
                        std::vector<float> *y_out,
                        const arch::SpmvParams &params)
 {
-    const auto entry = lookupVerified(
-        engine.scheduler(), a, fp, engine.config().capacityRowsPerLane());
+    return runEntry(engine, *cache_.lookup(engine.scheduler(), a, fp), a,
+                    x, dataset, y_out, params);
+}
+
+SpmvReport
+BatchEngine::runEntry(const Engine &engine, CachedSchedule &entry,
+                      const sparse::CsrMatrix &a,
+                      const std::vector<float> &x,
+                      const std::string &dataset,
+                      std::vector<float> *y_out,
+                      const arch::SpmvParams &params)
+{
+    maybeVerify(entry.schedule(), a, engine.config().capacityRowsPerLane());
     const arch::StreamPlan *plan = cache_.planForRun(
-        *entry, engine.accelerator().migrationDepth());
-    return engine.runScheduled(*entry->schedule(), entry->stats(), plan,
-                               a, x, dataset, y_out, params);
+        entry, engine.accelerator().migrationDepth());
+    return engine.runScheduled(*entry.schedule(), entry.stats(), plan, a,
+                               x, dataset, y_out, params);
 }
 
 SpmvReport
@@ -243,13 +243,18 @@ BatchEngine::compare(const sparse::CsrMatrix &a,
                      const std::string &dataset,
                      const arch::ArchConfig &config)
 {
-    // One fingerprint serves both kinds' keys.
-    const MatrixFingerprint fp = fingerprint(a);
+    const Engine chason(Engine::Kind::Chason, config);
+    const Engine serpens(Engine::Kind::Serpens, config);
+    // One fingerprint serves both kinds' keys, and a cold matrix is
+    // placed once for both schedules. A Chason engine always schedules
+    // with CrHCS, and its baseline is the Serpens engine's scheduler.
+    const auto [chason_entry, serpens_entry] = cache_.lookupPair(
+        static_cast<const sched::CrhcsScheduler &>(chason.scheduler()), a,
+        fingerprint(a));
     Comparison cmp;
-    cmp.chason = runCached(Engine(Engine::Kind::Chason, config), a, fp, x,
-                           dataset, nullptr, {});
-    cmp.serpens = runCached(Engine(Engine::Kind::Serpens, config), a, fp,
-                            x, dataset, nullptr, {});
+    cmp.chason = runEntry(chason, *chason_entry, a, x, dataset, nullptr, {});
+    cmp.serpens =
+        runEntry(serpens, *serpens_entry, a, x, dataset, nullptr, {});
     return cmp;
 }
 

@@ -206,7 +206,8 @@ class BatchEngine
                    std::vector<float> *y_out = nullptr,
                    const arch::SpmvParams &params = {});
 
-    /** Cache-backed core::compare (thread-safe). */
+    /** Cache-backed core::compare (thread-safe): a matrix neither kind
+     *  has cached is placed once for both (ScheduleCache::lookupPair). */
     Comparison compare(const sparse::CsrMatrix &a,
                        const std::vector<float> &x,
                        const std::string &dataset = "",
@@ -215,13 +216,16 @@ class BatchEngine
   private:
     void runJob(std::size_t index) EXCLUDES(mutex_);
 
-    /** Cache lookup of @p a (fingerprint @p fp) plus verification. */
-    std::shared_ptr<CachedSchedule>
-    lookupVerified(const sched::Scheduler &scheduler,
-                   const sparse::CsrMatrix &a, const MatrixFingerprint &fp,
-                   std::uint32_t capacityRowsPerLane);
+    /** Engine::run of a cached @p entry of @p a: verification, then a
+     *  simulation through the entry's stats and plan. */
+    SpmvReport runEntry(const Engine &engine, CachedSchedule &entry,
+                        const sparse::CsrMatrix &a,
+                        const std::vector<float> &x,
+                        const std::string &dataset,
+                        std::vector<float> *y_out,
+                        const arch::SpmvParams &params);
 
-    /** Cache-backed Engine::run through the entry's stats and plan. */
+    /** Cache-backed Engine::run: lookup, then runEntry(). */
     SpmvReport runCached(const Engine &engine, const sparse::CsrMatrix &a,
                          const MatrixFingerprint &fp,
                          const std::vector<float> &x,

@@ -154,9 +154,21 @@ Comparison
 compare(const sparse::CsrMatrix &a, const std::vector<float> &x,
         const std::string &dataset, const arch::ArchConfig &config)
 {
+    const Engine chason(Engine::Kind::Chason, config);
+    const Engine serpens(Engine::Kind::Serpens, config);
+    // One placement serves both schedules; a Chason engine always
+    // schedules with CrHCS.
+    const auto &crhcs =
+        static_cast<const sched::CrhcsScheduler &>(chason.scheduler());
+    sched::SchedulePair pair;
+    {
+        trace::HostSpan span("schedule:" + crhcs.name() + "+" +
+                             serpens.scheduler().name());
+        pair = crhcs.scheduleWithBaseline(a);
+    }
     Comparison cmp;
-    cmp.chason = Engine(Engine::Kind::Chason, config).run(a, x, dataset);
-    cmp.serpens = Engine(Engine::Kind::Serpens, config).run(a, x, dataset);
+    cmp.chason = chason.runScheduled(pair.crhcs, a, x, dataset);
+    cmp.serpens = serpens.runScheduled(pair.peAware, a, x, dataset);
     return cmp;
 }
 

@@ -159,7 +159,8 @@ struct Comparison
     }
 };
 
-/** Run both engines on @p a with the same @p x. */
+/** Run both engines on @p a with the same @p x; both schedules come
+ *  from one placement (CrhcsScheduler::scheduleWithBaseline). */
 Comparison compare(const sparse::CsrMatrix &a, const std::vector<float> &x,
                    const std::string &dataset = "",
                    const arch::ArchConfig &config = {});

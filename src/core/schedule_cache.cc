@@ -222,88 +222,154 @@ ScheduleCache::loadFromDisk(const ScheduleKey &key,
     return std::make_shared<const sched::Schedule>(reader.load());
 }
 
+namespace {
+
+/** A fresh schedule of @p a under @p scheduler, in a host span. */
+std::shared_ptr<const sched::Schedule>
+buildSchedule(const sched::Scheduler &scheduler, const sparse::CsrMatrix &a)
+{
+    trace::HostSpan span("schedule:" + scheduler.name());
+    return std::make_shared<const sched::Schedule>(scheduler.schedule(a));
+}
+
+} // namespace
+
 std::shared_ptr<CachedSchedule>
 ScheduleCache::lookup(const sched::Scheduler &scheduler,
                       const sparse::CsrMatrix &a,
                       const MatrixFingerprint &fp)
 {
-    const ScheduleKey key = scheduleKey(scheduler, fp);
-    trace::TraceSink *sink = trace::activeSink();
-
-    std::promise<EntryPtr> promise;
-    bool hit = false;
+    Fill fill;
+    fill.key = scheduleKey(scheduler, fp);
     std::shared_future<EntryPtr> hit_future;
     {
         common::MutexLock lock(mutex_);
-        const auto it = entries_.find(key);
+        const auto it = entries_.find(fill.key);
         if (it != entries_.end()) {
             // Resident or in flight: either way the scheduling work is
             // amortized, so both count as hits.
             ++hits_;
             lru_.splice(lru_.begin(), lru_, it->second.lruIt);
-            hit = true;
             hit_future = it->second.future;
         } else {
-            ++misses_;
-            Entry entry;
-            entry.future = promise.get_future().share();
-            lru_.push_front(key);
-            entry.lruIt = lru_.begin();
-            entries_.emplace(key, std::move(entry));
+            reserveLocked(fill);
         }
     }
-    if (hit) {
+    if (hit_future.valid()) {
         // Blocking on the future happens outside the critical section:
         // an in-flight fill must not serialize unrelated lookups.
-        if (sink) {
+        if (trace::TraceSink *sink = trace::activeSink()) {
             sink->addCounter("schedule_cache.hits");
             sink->recordInstant("cache_hit", trace::hostTrack(),
                                 sink->nowUs());
         }
         return hit_future.get();
     }
+
+    probe(fill);
+    // Schedule outside the lock: this is the expensive part and the
+    // whole point of running jobs concurrently.
+    if (!fill.diskHit)
+        fill.schedule = buildSchedule(scheduler, a);
+    const EntryPtr entry = publish(fill);
+    persist(fill);
+    return entry;
+}
+
+std::pair<std::shared_ptr<CachedSchedule>, std::shared_ptr<CachedSchedule>>
+ScheduleCache::lookupPair(const sched::CrhcsScheduler &crhcs,
+                          const sparse::CsrMatrix &a,
+                          const MatrixFingerprint &fp)
+{
+    const sched::PeAwareScheduler baseline = crhcs.baseline();
+    Fill fills[2];
+    fills[0].key = scheduleKey(crhcs, fp);
+    fills[1].key = scheduleKey(baseline, fp);
+    bool reserved = false;
+    {
+        common::MutexLock lock(mutex_);
+        if (entries_.count(fills[0].key) == 0 &&
+            entries_.count(fills[1].key) == 0) {
+            reserveLocked(fills[0]);
+            reserveLocked(fills[1]);
+            reserved = true;
+        }
+    }
+    if (!reserved)
+        return {lookup(crhcs, a, fp), lookup(baseline, a, fp)};
+
+    probe(fills[0]);
+    probe(fills[1]);
+    if (!fills[0].diskHit && !fills[1].diskHit) {
+        trace::HostSpan span("schedule:" + crhcs.name() + "+" +
+                             baseline.name());
+        sched::SchedulePair pair = crhcs.scheduleWithBaseline(a);
+        fills[0].schedule =
+            std::make_shared<const sched::Schedule>(std::move(pair.crhcs));
+        fills[1].schedule = std::make_shared<const sched::Schedule>(
+            std::move(pair.peAware));
+    } else if (!fills[0].diskHit) {
+        fills[0].schedule = buildSchedule(crhcs, a);
+    } else if (!fills[1].diskHit) {
+        fills[1].schedule = buildSchedule(baseline, a);
+    }
+    const EntryPtr chason = publish(fills[0]);
+    const EntryPtr serpens = publish(fills[1]);
+    persist(fills[0]);
+    persist(fills[1]);
+    return {chason, serpens};
+}
+
+void
+ScheduleCache::reserveLocked(Fill &fill)
+{
+    ++misses_;
+    Entry entry;
+    entry.future = fill.promise.get_future().share();
+    lru_.push_front(fill.key);
+    entry.lruIt = lru_.begin();
+    entries_.emplace(fill.key, std::move(entry));
+}
+
+void
+ScheduleCache::probe(Fill &fill)
+{
+    trace::TraceSink *sink = trace::activeSink();
     if (sink) {
         sink->addCounter("schedule_cache.misses");
         sink->recordInstant("cache_miss", trace::hostTrack(),
                             sink->nowUs());
     }
+    if (artifactDir_.empty())
+        return;
 
     // Disk tier: probe the artifact store before paying for CrHCS. The
     // probe runs without the lock for the same reason scheduling does —
     // its latency must not serialize unrelated lookups.
-    const std::string artifact_path = artifactDir_.empty()
-        ? std::string()
-        : artifactDir_ + "/" +
-            sched::artifactFileName(
-                {key.matrix.lo, key.matrix.hi, key.scheduler});
-    bool disk_hit = false;
-    bool disk_rejected = false;
-    SchedulePtr schedule;
-    if (!artifact_path.empty()) {
-        schedule = loadFromDisk(key, artifact_path, disk_rejected);
-        disk_hit = schedule != nullptr;
-        if (sink) {
-            sink->addCounter(disk_hit ? "schedule_cache.disk_hit"
+    const ScheduleKey &key = fill.key;
+    fill.path = artifactDir_ + "/" +
+        sched::artifactFileName(
+            {key.matrix.lo, key.matrix.hi, key.scheduler});
+    fill.schedule = loadFromDisk(key, fill.path, fill.diskRejected);
+    fill.diskHit = fill.schedule != nullptr;
+    if (sink) {
+        sink->addCounter(fill.diskHit ? "schedule_cache.disk_hit"
                                       : "schedule_cache.disk_miss");
-            sink->recordInstant(disk_hit ? "cache_disk_hit"
+        sink->recordInstant(fill.diskHit ? "cache_disk_hit"
                                          : "cache_disk_miss",
-                                trace::hostTrack(), sink->nowUs());
-        }
+                            trace::hostTrack(), sink->nowUs());
     }
+}
 
-    // Schedule outside the lock: this is the expensive part and the
-    // whole point of running jobs concurrently.
-    if (!disk_hit) {
-        trace::HostSpan span("schedule:" + scheduler.name());
-        schedule = std::make_shared<const sched::Schedule>(
-            scheduler.schedule(a));
-    }
-    const std::size_t bytes = schedule->memoryBytes();
-    const EntryPtr entry = std::make_shared<CachedSchedule>(key, schedule);
-
+ScheduleCache::EntryPtr
+ScheduleCache::publish(Fill &fill)
+{
+    const std::size_t bytes = fill.schedule->memoryBytes();
+    const EntryPtr entry =
+        std::make_shared<CachedSchedule>(fill.key, fill.schedule);
     {
         common::MutexLock lock(mutex_);
-        const auto it = entries_.find(key);
+        const auto it = entries_.find(fill.key);
         // The filling thread owns the pending entry until this point:
         // neither clear() nor eviction touches a !ready entry, so the
         // lookup must succeed. Guard re-insertion anyway — if a future
@@ -318,41 +384,45 @@ ScheduleCache::lookup(const sched::Scheduler &scheduler,
             residentBytes_ += bytes;
             enforceBudgetLocked();
         }
-        if (!artifact_path.empty()) {
-            disk_hit ? ++diskHits_ : ++diskMisses_;
-            if (disk_rejected)
+        if (!fill.path.empty()) {
+            fill.diskHit ? ++diskHits_ : ++diskMisses_;
+            if (fill.diskRejected)
                 ++corrupt_;
         }
         debugCheckConsistencyLocked();
     }
-    promise.set_value(entry);
+    fill.promise.set_value(entry);
+    return entry;
+}
 
+void
+ScheduleCache::persist(const Fill &fill)
+{
     // Write-behind persistence: waiters are already unblocked; losing
     // the write costs a future reschedule, never a wrong result. A
     // rejected (corrupt) artifact is overwritten here, healing the
     // store in place.
-    if (!artifact_path.empty() && !disk_hit) {
-        sched::ArtifactError error;
-        if (sched::writeArtifactFile(
-                *schedule, {key.matrix.lo, key.matrix.hi, key.scheduler},
-                artifact_path, &error)) {
-            {
-                common::MutexLock lock(mutex_);
-                ++persisted_;
-            }
-            if (sink) {
-                sink->addCounter("schedule_cache.persist");
-                sink->recordInstant("cache_persist", trace::hostTrack(),
-                                    sink->nowUs());
-            }
-        } else {
-            warn("schedule cache: cannot persist artifact '%s': %s (%s)",
-                 artifact_path.c_str(),
-                 sched::artifactStatusName(error.status),
-                 error.detail.c_str());
-        }
+    if (fill.path.empty() || fill.diskHit)
+        return;
+    const ScheduleKey &key = fill.key;
+    sched::ArtifactError error;
+    if (!sched::writeArtifactFile(
+            *fill.schedule, {key.matrix.lo, key.matrix.hi, key.scheduler},
+            fill.path, &error)) {
+        warn("schedule cache: cannot persist artifact '%s': %s (%s)",
+             fill.path.c_str(), sched::artifactStatusName(error.status),
+             error.detail.c_str());
+        return;
     }
-    return entry;
+    {
+        common::MutexLock lock(mutex_);
+        ++persisted_;
+    }
+    if (trace::TraceSink *sink = trace::activeSink()) {
+        sink->addCounter("schedule_cache.persist");
+        sink->recordInstant("cache_persist", trace::hostTrack(),
+                            sink->nowUs());
+    }
 }
 
 const arch::StreamPlan *

@@ -43,10 +43,12 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "arch/stream_soa.h"
 #include "common/thread_annotations.h"
 #include "core/engine.h"
+#include "sched/crhcs.h"
 
 namespace chason {
 namespace core {
@@ -251,6 +253,25 @@ class ScheduleCache
            const MatrixFingerprint &fp) EXCLUDES(mutex_);
 
     /**
+     * The entries for @p crhcs and for its PE-aware baseline
+     * (sched::CrhcsScheduler::baseline()) applied to @p a, whose
+     * fingerprint is @p fp — the pair core::compare simulates. When
+     * neither key is in memory, both in-flight entries are reserved
+     * under one lock (concurrent lookups of either key coalesce on
+     * them), each counts one miss, and each probes the disk tier; if
+     * both miss there too, one scheduleWithBaseline() build fills both
+     * (each phase is placed once), otherwise each kind is loaded or
+     * scheduled on its own. Fresh schedules persist write-behind, as
+     * lookup() does. If either key is resident or in flight, this is
+     * lookup() of each kind in turn.
+     */
+    std::pair<std::shared_ptr<CachedSchedule>,
+              std::shared_ptr<CachedSchedule>>
+    lookupPair(const sched::CrhcsScheduler &crhcs,
+               const sparse::CsrMatrix &a, const MatrixFingerprint &fp)
+        EXCLUDES(mutex_);
+
+    /**
      * The schedule @p scheduler produces for @p a; fingerprints @p a
      * and goes through the same lookup.
      */
@@ -326,6 +347,34 @@ class ScheduleCache
         bool ready = false;
         std::list<ScheduleKey>::iterator lruIt;
     };
+
+    /**
+     * A miss this thread reserved: its in-flight entry, which only this
+     * thread fills, and what the fill found on the way.
+     */
+    struct Fill
+    {
+        ScheduleKey key;
+        std::promise<EntryPtr> promise;
+        std::string path;     ///< artifact path; empty = no disk tier
+        SchedulePtr schedule; ///< loaded from disk or freshly built
+        bool diskHit = false;
+        bool diskRejected = false;
+    };
+
+    /** Count a miss and insert @p fill's in-flight entry (its key must
+     *  be absent). Lock held. */
+    void reserveLocked(Fill &fill) REQUIRES(mutex_);
+
+    /** Trace the miss, then load @p fill's schedule from the disk tier
+     *  if an intact artifact is stored there. */
+    void probe(Fill &fill) EXCLUDES(mutex_);
+
+    /** Make @p fill's schedule resident and unblock its waiters. */
+    EntryPtr publish(Fill &fill) EXCLUDES(mutex_);
+
+    /** Write-behind: store a freshly built schedule as an artifact. */
+    void persist(const Fill &fill) EXCLUDES(mutex_);
 
     /** Evict ready LRU entries until the budget holds. Lock held. */
     void enforceBudgetLocked() REQUIRES(mutex_);

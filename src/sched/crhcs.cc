@@ -31,14 +31,16 @@
  * visible to the remainder of the sweep.
  *
  * The (pass, window) phases are mutually independent, so schedule()
- * fans them out over the process-wide pool (core::fanOut) when
+ * fans them out over the process-wide pool (sched::fanOutPhases) when
  * jobs > 1. Each phase's placement + migration is a pure function of
  * (PhaseWork, config), and results land in a pre-sized vector slot
  * keyed by phase index — so the parallel path is bit-identical to the
  * sequential one and the Scheduler purity contract (and ScheduleCache
  * keying) is preserved. Trace sinks are thread-local; when one is
- * active the sequential path is used so span attribution stays
- * complete.
+ * active the phases run inline so span attribution stays complete.
+ * scheduleWithBaseline() runs the same loop with placement writing each
+ * phase twice, so one placement yields both the PE-aware and the CrHCS
+ * schedule.
  */
 
 #include "sched/crhcs.h"
@@ -49,9 +51,7 @@
 #include <limits>
 #include <vector>
 
-#include "common/env.h"
 #include "core/thread_pool.h"
-#include "sched/pe_aware.h"
 #include "trace/trace.h"
 
 namespace chason {
@@ -822,10 +822,40 @@ CrhcsScheduler::migrateWithMasks(WindowSchedule &phase,
 Schedule
 CrhcsScheduler::schedule(const sparse::CsrMatrix &matrix) const
 {
+    return build(matrix, nullptr);
+}
+
+PeAwareScheduler
+CrhcsScheduler::baseline() const
+{
+    SchedConfig config = config_;
+    config.migrationDepth = 0;
+    PeAwareScheduler baseline(config);
+    baseline.setJobs(jobs_);
+    return baseline;
+}
+
+SchedulePair
+CrhcsScheduler::scheduleWithBaseline(const sparse::CsrMatrix &matrix) const
+{
+    std::vector<WindowSchedule> placed;
+    Schedule crhcs = build(matrix, &placed);
+    const PeAwareScheduler pe_aware = baseline();
+    Schedule pe = finalize(matrix, pe_aware.name(), std::move(placed));
+    pe.config = pe_aware.config();
+    return {std::move(crhcs), std::move(pe)};
+}
+
+Schedule
+CrhcsScheduler::build(const sparse::CsrMatrix &matrix,
+                      std::vector<WindowSchedule> *placed) const
+{
     // Scheduler phase timings: one host span per offline stage, plus
     // an aggregate split of the per-phase loop into its PE-aware
     // placement and cross-channel migration halves — the two costs the
-    // preprocessing analysis (bench_preprocessing_cost) compares.
+    // preprocessing analysis (bench_preprocessing_cost) compares. Trace
+    // sinks are thread-local, so with one active the phases run inline
+    // on this thread and the split stays complete.
     trace::TraceSink *sink = trace::activeSink();
     double t0 = sink ? sink->nowUs() : 0.0;
     const PhaseWorkList work_list = buildPhaseWork(matrix, config_);
@@ -840,75 +870,35 @@ CrhcsScheduler::schedule(const sparse::CsrMatrix &matrix) const
     }
 
     std::vector<WindowSchedule> phases(work_list.size());
-    // The scheduler-specific CHASON_SCHED_JOBS wins over CHASON_JOBS.
-    const unsigned jobs = core::resolveJobs(
-        jobs_ != 0 ? jobs_
-                   : static_cast<unsigned>(
-                         common::envUint("CHASON_SCHED_JOBS", 0)));
+    if (placed != nullptr)
+        placed->assign(work_list.size(), WindowSchedule{});
+    const unsigned jobs = sink ? 1u : resolvedJobs();
     // The balanced strategy takes the mask-carrying fast path:
     // placement emits the free-slot bitmaps as a byproduct and the
     // migration sweep walks them directly, never rescanning beats.
     const bool balanced =
         strategy_ == MigrationStrategy::BeatSynchronous &&
         config_.migrationDepth > 0 && config_.channels >= 2;
-    const auto runPhase = [&](std::size_t i, unsigned phaseJobs) {
-        if (balanced) {
-            FreeSlotMasks masks;
-            phases[i] = PeAwareScheduler::schedulePhase(work_list[i],
-                                                        config_, &masks);
-            FreeSlotMasks donor_masks;
-            migrateWithMasks(phases[i], config_, masks, donor_masks,
-                             true, phaseJobs);
-        } else {
-            phases[i] =
-                PeAwareScheduler::schedulePhase(work_list[i], config_);
-            migratePhase(phases[i], config_, strategy_);
-        }
-    };
-    if (sink == nullptr && jobs > 1 && work_list.size() > 1) {
-        // Dynamic fan-out, heaviest phases first: with chunk-of-one
-        // claiming, a large phase picked up late can no longer strand
-        // the pool behind a static split's tail. Results land in slots
-        // keyed by the original phase index, so the output is
-        // bit-identical to the sequential loop below at every jobs
-        // value.
-        std::vector<std::uint32_t> order(work_list.size());
-        for (std::uint32_t i = 0; i < order.size(); ++i)
-            order[i] = i;
-        std::sort(order.begin(), order.end(),
-                  [&work_list](std::uint32_t a, std::uint32_t b) {
-                      if (work_list[a].nnz != work_list[b].nnz)
-                          return work_list[a].nnz > work_list[b].nnz;
-                      return a < b;
-                  });
-        core::fanOut(jobs, work_list.size(),
-                     [&](std::size_t k) { runPhase(order[k], jobs); });
-        return finalize(matrix, name(), std::move(phases));
-    }
-
     double place_us = 0.0, migrate_us = 0.0;
-    for (std::size_t i = 0; i < work_list.size(); ++i) {
-        double p0 = sink ? sink->nowUs() : 0.0;
-        double p1 = p0;
+    fanOutPhases(work_list, jobs, [&](std::size_t i) {
+        const double p0 = sink ? sink->nowUs() : 0.0;
+        FreeSlotMasks masks;
+        phases[i] = PeAwareScheduler::schedulePhase(
+            work_list[i], config_, balanced ? &masks : nullptr,
+            placed != nullptr ? &(*placed)[i] : nullptr, jobs);
+        const double p1 = sink ? sink->nowUs() : 0.0;
         if (balanced) {
-            FreeSlotMasks masks;
-            phases[i] = PeAwareScheduler::schedulePhase(work_list[i],
-                                                        config_, &masks);
-            p1 = sink ? sink->nowUs() : 0.0;
             FreeSlotMasks donor_masks;
-            migrateWithMasks(phases[i], config_, masks, donor_masks,
-                             true, sink ? 1u : jobs);
+            migrateWithMasks(phases[i], config_, masks, donor_masks, true,
+                             jobs);
         } else {
-            phases[i] = PeAwareScheduler::schedulePhase(work_list[i],
-                                                        config_);
-            p1 = sink ? sink->nowUs() : 0.0;
             migratePhase(phases[i], config_, strategy_);
         }
         if (sink) {
             place_us += p1 - p0;
             migrate_us += sink->nowUs() - p1;
         }
-    }
+    });
     if (sink) {
         trace::SpanEvent place;
         place.name = "crhcs.pe_aware_placement";

@@ -29,10 +29,17 @@
 #ifndef CHASON_SCHED_CRHCS_H_
 #define CHASON_SCHED_CRHCS_H_
 
-#include "sched/scheduler.h"
+#include "sched/pe_aware.h"
 
 namespace chason {
 namespace sched {
+
+/** The two schedules CrhcsScheduler::scheduleWithBaseline returns. */
+struct SchedulePair
+{
+    Schedule crhcs;   ///< the CrHCS schedule
+    Schedule peAware; ///< the PE-aware (Serpens) schedule it migrated
+};
 
 /**
  * How the migration pass traverses the channels.
@@ -82,19 +89,24 @@ class CrhcsScheduler : public Scheduler
 
     MigrationStrategy strategy() const { return strategy_; }
 
-    /**
-     * Worker count for scheduling the independent (pass, window) phases
-     * in parallel. 0 (the default) resolves to the CHASON_SCHED_JOBS
-     * environment variable, then CHASON_JOBS (the bench harness's
-     * worker knob), falling back to the hardware thread count;
-     * 1 forces the sequential path. Deliberately NOT part of SchedConfig
-     * or name(): the parallel path is bit-identical to the sequential
-     * one, so the jobs knob must not fragment core::ScheduleCache keys.
-     */
-    void setJobs(unsigned jobs) { jobs_ = jobs; }
-    unsigned jobs() const { return jobs_; }
-
     Schedule schedule(const sparse::CsrMatrix &matrix) const override;
+
+    /**
+     * The PE-aware scheduler this one migrates from: the same geometry
+     * at migrationDepth 0 — exactly the Serpens baseline's scheduler
+     * (core::Engine), so its name and config key the same cache entry.
+     */
+    PeAwareScheduler baseline() const;
+
+    /**
+     * Both schedules of the paper's comparison from one placement
+     * (Section 3: CrHCS starts from the PE-aware schedule). The phase
+     * work is built once and each phase placed once; placement writes
+     * the phase into the PE-aware schedule as well, and the CrHCS copy
+     * is then migrated in place. Each result is bit-identical to what schedule() and
+     * baseline().schedule() return on their own, at every jobs value.
+     */
+    SchedulePair scheduleWithBaseline(const sparse::CsrMatrix &matrix) const;
 
     /**
      * Apply cross-channel migration in place to a PE-aware phase.
@@ -127,8 +139,13 @@ class CrhcsScheduler : public Scheduler
                                  FreeSlotMasks &donorMasks, bool fresh,
                                  unsigned jobs);
 
+    /** schedule() and scheduleWithBaseline(): place and migrate every
+     *  phase; with @p placed non-null, placement also writes each phase
+     *  into it before migration. */
+    Schedule build(const sparse::CsrMatrix &matrix,
+                   std::vector<WindowSchedule> *placed) const;
+
     MigrationStrategy strategy_;
-    unsigned jobs_ = 0; ///< 0 = auto (CHASON_SCHED_JOBS, CHASON_JOBS, hw)
 };
 
 } // namespace sched

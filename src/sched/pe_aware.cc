@@ -23,12 +23,20 @@
  * through the cache once per issued element. Issue beats are unchanged
  * by any of this, so the produced schedule is bit-identical to the
  * original per-beat implementation.
+ *
+ * Channels share nothing but the read-only phase work, so a phase's
+ * channels are placed on the process-wide pool (core::fanOut), each
+ * worker with its own thread-local scratch; schedule() additionally fans
+ * the phases out (sched::fanOutPhases). Each channel's beats depend on
+ * its own lanes only, so every jobs value gives the same bytes.
  */
 
 #include "sched/pe_aware.h"
 
 #include <algorithm>
 #include <vector>
+
+#include "core/thread_pool.h"
 
 namespace chason {
 namespace sched {
@@ -112,15 +120,9 @@ laneEndBeat(LaneState &ls, unsigned d)
 
 WindowSchedule
 PeAwareScheduler::schedulePhase(const PhaseWork &work,
-                                const SchedConfig &config)
-{
-    return schedulePhase(work, config, nullptr);
-}
-
-WindowSchedule
-PeAwareScheduler::schedulePhase(const PhaseWork &work,
                                 const SchedConfig &config,
-                                FreeSlotMasks *freeMasks)
+                                FreeSlotMasks *freeMasks,
+                                WindowSchedule *copy, unsigned jobs)
 {
     const unsigned pes = config.pesPerGroup();
     const unsigned d = config.rawDistance;
@@ -133,45 +135,46 @@ PeAwareScheduler::schedulePhase(const PhaseWork &work,
         freeMasks->clear();
         freeMasks->resize(config.channels);
     }
-
-    // Shared scratch, sized once to the widest channel (sum of its
-    // lanes' run counts).
-    std::size_t max_runs = 0;
-    for (unsigned ch = 0; ch < config.channels; ++ch) {
-        std::size_t total = 0;
-        for (unsigned pe = 0; pe < pes; ++pe)
-            total +=
-                work.lanes[static_cast<std::size_t>(ch) * pes + pe].size();
-        max_runs = std::max(max_runs, total);
+    if (copy != nullptr) {
+        copy->pass = work.pass;
+        copy->window = work.window;
+        copy->channels.clear();
+        copy->channels.resize(config.channels);
     }
-    // Thread-local so consecutive phases (and schedule() calls) reuse
-    // the same warm pages instead of re-faulting half a megabyte of
-    // scratch per phase. Single-FIFO state is re-reset per channel, so
-    // persistence is invisible to the result.
-    static thread_local std::vector<QueuedRun> queue_buf;
-    queue_buf.resize(max_runs);
-    // Per-block composition scratch, reused across blocks and channels
-    // so it stays cache-resident: the stall template is refilled and
-    // the block's issues scattered into it at L2 cost, then the
-    // finished block lands in the (cold) beat list with one streaming
-    // copy — instead of paying read-for-ownership traffic on the whole
-    // multi-MB list twice (template fill + issue stores).
-    static thread_local std::vector<Beat> block_buf;
 
     const std::uint8_t full_mask =
         static_cast<std::uint8_t>((1u << pes) - 1u);
 
-    std::array<LaneState, kMaxPesPerGroup> lane;
-    for (unsigned ch = 0; ch < config.channels; ++ch) {
-        ChannelWindowSchedule &cws = ws.channels[ch];
+    core::fanOut(jobs, config.channels, [&](std::size_t ch) {
+        // Thread-local so consecutive channels, phases and schedule()
+        // calls on a thread reuse the same warm pages instead of
+        // re-faulting half a megabyte of scratch each time. Single-FIFO
+        // state is re-reset per channel, so persistence is invisible to
+        // the result.
+        static thread_local std::vector<QueuedRun> queue_buf;
+        // Per-block composition scratch, reused across blocks and
+        // channels so it stays cache-resident: the stall template is
+        // refilled and the block's issues scattered into it at L2 cost,
+        // then the finished block lands in the (cold) beat list with
+        // one streaming copy — instead of paying read-for-ownership
+        // traffic on the whole multi-MB list twice (template fill +
+        // issue stores).
+        static thread_local std::vector<Beat> block_buf;
 
-        std::size_t base = 0;
+        ChannelWindowSchedule &cws = ws.channels[ch];
+        std::array<LaneState, kMaxPesPerGroup> lane;
+        std::size_t runs = 0;
         for (unsigned pe = 0; pe < pes; ++pe) {
             LaneState &ls = lane[pe];
             ls.runs = work.lanes[static_cast<std::size_t>(ch) * pes + pe];
             ls.nrun = ls.runs.size();
-            ls.q = queue_buf.data() + base;
-            base += ls.nrun;
+            runs += ls.nrun;
+        }
+        queue_buf.resize(runs);
+        std::size_t base = 0;
+        for (unsigned pe = 0; pe < pes; ++pe) {
+            lane[pe].q = queue_buf.data() + base;
+            base += lane[pe].nrun;
         }
 
         // Pass A: exact channel length. The last appended beat of the
@@ -184,12 +187,16 @@ PeAwareScheduler::schedulePhase(const PhaseWork &work,
             len = std::max(len, laneEndBeat(ls, d));
         }
         if (len == 0)
-            continue;
+            return;
 
         // One exact allocation up front (capacity only — the beats are
         // composed block by block in the scratch buffer and appended,
         // so the cold storage is written exactly once).
         cws.beats.reserve(len);
+        BeatList *twin =
+            copy != nullptr ? &copy->channels[ch].beats : nullptr;
+        if (twin != nullptr)
+            twin->reserve(len);
         std::uint8_t *mask = nullptr;
         if (freeMasks != nullptr) {
             (*freeMasks)[ch].assign(len, full_mask);
@@ -241,17 +248,22 @@ PeAwareScheduler::schedulePhase(const PhaseWork &work,
                 }
             }
             cws.beats.append(block_buf.data(), block_end - block);
+            if (twin != nullptr)
+                twin->append(block_buf.data(), block_end - block);
         }
-    }
+    });
     return ws;
 }
 
 Schedule
 PeAwareScheduler::schedule(const sparse::CsrMatrix &matrix) const
 {
-    std::vector<WindowSchedule> phases;
-    for (const PhaseWork &work : buildPhaseWork(matrix, config_))
-        phases.push_back(schedulePhase(work, config_));
+    const PhaseWorkList work = buildPhaseWork(matrix, config_);
+    std::vector<WindowSchedule> phases(work.size());
+    const unsigned jobs = resolvedJobs();
+    fanOutPhases(work, jobs, [&](std::size_t i) {
+        phases[i] = schedulePhase(work[i], config_, nullptr, nullptr, jobs);
+    });
     return finalize(matrix, name(), std::move(phases));
 }
 

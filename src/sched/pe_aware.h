@@ -37,19 +37,23 @@ class PeAwareScheduler : public Scheduler
     /**
      * Schedule one phase's lanes into per-channel beat lists. Shared
      * with CrhcsScheduler, which post-processes this result.
-     */
-    static WindowSchedule schedulePhase(const PhaseWork &work,
-                                        const SchedConfig &config);
-
-    /**
-     * As above, additionally filling @p freeMasks (when non-null) with
-     * the phase's per-channel free-slot bitmaps — one byte per beat,
-     * bit p set iff PE p's slot is a stall. CrhcsScheduler's migration
-     * pass consumes the masks so it never rescans placed beats.
+     *
+     * When @p freeMasks is non-null it is filled with the phase's
+     * per-channel free-slot bitmaps — one byte per beat, bit p set iff
+     * PE p's slot is a stall. CrhcsScheduler's migration pass consumes
+     * the masks so it never rescans placed beats. When @p copy is
+     * non-null it receives a second, identical copy of the phase,
+     * written from the same cache-resident blocks — the PE-aware
+     * schedule CrhcsScheduler::scheduleWithBaseline keeps beside the
+     * one it migrates. Channels are independent, so with @p jobs > 1
+     * they are placed on the process-wide pool (core::fanOut); the
+     * result is bit-identical for every jobs value.
      */
     static WindowSchedule schedulePhase(const PhaseWork &work,
                                         const SchedConfig &config,
-                                        FreeSlotMasks *freeMasks);
+                                        FreeSlotMasks *freeMasks = nullptr,
+                                        WindowSchedule *copy = nullptr,
+                                        unsigned jobs = 1);
 };
 
 } // namespace sched

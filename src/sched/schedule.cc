@@ -15,6 +15,7 @@
 #endif
 
 #include "common/logging.h"
+#include "core/thread_pool.h"
 
 namespace chason {
 namespace sched {
@@ -269,6 +270,23 @@ buildPhaseWork(const sparse::CsrMatrix &matrix, const SchedConfig &config)
         }
     }
     return list;
+}
+
+void
+fanOutPhases(const PhaseWorkList &work, unsigned jobs,
+             const std::function<void(std::size_t)> &body)
+{
+    std::vector<std::uint32_t> order(work.size());
+    for (std::uint32_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::sort(order.begin(), order.end(),
+              [&work](std::uint32_t a, std::uint32_t b) {
+                  if (work[a].nnz != work[b].nnz)
+                      return work[a].nnz > work[b].nnz;
+                  return a < b;
+              });
+    core::fanOut(jobs, order.size(),
+                 [&](std::size_t k) { body(order[k]); });
 }
 
 std::vector<EncodedElement>

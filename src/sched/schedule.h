@@ -17,6 +17,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <new>
 #include <string>
@@ -25,7 +26,6 @@
 #include <vector>
 
 #include "common/arena.h"
-#include "common/pagepool.h"
 #include "sched/config.h"
 #include "sched/element.h"
 #include "sparse/formats.h"
@@ -79,11 +79,6 @@ namespace detail {
  * Restricted to the trivially copyable Beat, whose bytes carry no
  * invariants; every argumented insertion (copy, fill, assign)
  * constructs normally.
- *
- * Storage comes from common::PagePool: beat buffers are the bulk of a
- * schedule's footprint and dominate the process's page-fault bill, so
- * recycling them across phases and schedule() calls keeps the
- * placement write path on warm pages.
  */
 template <class T>
 struct NoInitAlloc
@@ -96,13 +91,10 @@ struct NoInitAlloc
     {
     }
 
-    T *allocate(std::size_t n)
-    {
-        return static_cast<T *>(common::pagePoolAlloc(n * sizeof(T)));
-    }
+    T *allocate(std::size_t n) { return std::allocator<T>().allocate(n); }
     void deallocate(T *p, std::size_t n)
     {
-        common::pagePoolFree(p, n * sizeof(T));
+        std::allocator<T>().deallocate(p, n);
     }
 
     template <class U>
@@ -433,6 +425,17 @@ class PhaseWorkList
  */
 PhaseWorkList buildPhaseWork(const sparse::CsrMatrix &matrix,
                              const SchedConfig &config);
+
+/**
+ * Run @p body(i) once for every phase i of @p work on the process-wide
+ * pool (core::fanOut), at most @p jobs at a time. Phases are claimed
+ * heaviest first by nnz, so a large phase picked up late cannot strand
+ * the pool behind the tail; with @p jobs <= 1 they run inline in that
+ * same order. Callers write results into slots keyed by the phase index
+ * i, so every jobs value gives bit-identical results.
+ */
+void fanOutPhases(const PhaseWorkList &work, unsigned jobs,
+                  const std::function<void(std::size_t)> &body);
 
 } // namespace sched
 } // namespace chason

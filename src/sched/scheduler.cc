@@ -5,8 +5,21 @@
 
 #include "sched/scheduler.h"
 
+#include "common/env.h"
+#include "core/thread_pool.h"
+
 namespace chason {
 namespace sched {
+
+unsigned
+Scheduler::resolvedJobs() const
+{
+    // The scheduler-specific CHASON_SCHED_JOBS wins over CHASON_JOBS.
+    return core::resolveJobs(
+        jobs_ != 0
+            ? jobs_
+            : static_cast<unsigned>(common::envUint("CHASON_SCHED_JOBS", 0)));
+}
 
 Schedule
 Scheduler::finalize(const sparse::CsrMatrix &matrix, std::string name,

@@ -57,8 +57,25 @@ class Scheduler
 
     const SchedConfig &config() const { return config_; }
 
+    /**
+     * Worker count for scheduling the independent (pass, window) phases
+     * in parallel (the PE-aware and CrHCS schedulers; the row-based one
+     * runs inline). 0 (the default) resolves to the CHASON_SCHED_JOBS
+     * environment variable, then CHASON_JOBS (the bench harness's
+     * worker knob), falling back to the hardware thread count;
+     * 1 forces the sequential path. Deliberately NOT part of SchedConfig
+     * or name(): the parallel path is bit-identical to the sequential
+     * one, so the jobs knob must not fragment core::ScheduleCache keys.
+     */
+    void setJobs(unsigned jobs) { jobs_ = jobs; }
+    unsigned jobs() const { return jobs_; }
+
   protected:
     SchedConfig config_;
+    unsigned jobs_ = 0; ///< 0 = auto (CHASON_SCHED_JOBS, CHASON_JOBS, hw)
+
+    /** jobs() resolved as documented there; at least 1. */
+    unsigned resolvedJobs() const;
 
     /** Shared epilogue: set metadata and align every phase. */
     Schedule

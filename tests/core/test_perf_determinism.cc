@@ -12,6 +12,9 @@
  * reproduce run() exactly (y, every cycle counter, the report JSON),
  * every simulation must be identical at every CHASON_JOBS value, and
  * the cache-blocked scatter must produce the direct scatter's arrays.
+ * The pair build (one placement for both the PE-aware and the CrHCS
+ * schedule) must equal the separate builds on every Table-2, serving
+ * catalog and sampled sweep matrix, at every jobs count.
  *
  * The setenv calls are sound with respect to env.cc's getenv note: the
  * test bodies run single-threaded between fan-outs.
@@ -21,6 +24,8 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,10 +37,12 @@
 #include "core/engine.h"
 #include "core/report_json.h"
 #include "sched/analyzer.h"
+#include "sched/artifact.h"
 #include "sched/crhcs.h"
 #include "sched/pe_aware.h"
 #include "sched/schedule_io.h"
 #include "sparse/csc.h"
+#include "sparse/dataset.h"
 #include "sparse/generators.h"
 
 namespace chason {
@@ -90,6 +97,102 @@ TEST(PerfDeterminism, ParallelSchedulingIsBitIdentical)
             sched::CrhcsScheduler parallel(config);
             parallel.setJobs(jobs);
             EXPECT_EQ(bytes1, scheduleBytes(parallel.schedule(a)));
+        }
+    }
+}
+
+/**
+ * A schedule's identity for bit-identity checks: its metadata, its
+ * resident size (what the cache charges) and a digest of every
+ * channel's raw beat bytes, phase by phase.
+ */
+std::string
+scheduleIdentity(const sched::Schedule &s)
+{
+    std::ostringstream out;
+    const sched::SchedConfig &c = s.config;
+    out << s.scheduler << ' ' << c.channels << ' '
+        << static_cast<int>(c.precision) << ' ' << c.pesOverride << ' '
+        << c.rawDistance << ' ' << c.windowCols << ' '
+        << c.rowsPerLanePerPass << ' ' << c.migrationDepth << ' ' << s.rows
+        << ' ' << s.cols << ' ' << s.nnz << ' ' << s.memoryBytes() << '\n';
+    for (const sched::WindowSchedule &phase : s.phases) {
+        out << phase.pass << ' ' << phase.window << ' '
+            << phase.alignedBeats;
+        for (const sched::ChannelWindowSchedule &ch : phase.channels)
+            out << ' ' << ch.length() << ':'
+                << sched::artifactHash(ch.beats.data(),
+                                       ch.length() * sizeof(sched::Beat));
+        out << '\n';
+    }
+    return out.str();
+}
+
+/** A named matrix, generated on demand. */
+struct NamedMatrix
+{
+    std::string name;
+    std::function<sparse::CsrMatrix()> generate;
+};
+
+/**
+ * The pair build's corpus: Table 2, the serving catalog's six R-MAT
+ * shapes (the e2e serve workloads' catalog) and every 100th entry of
+ * the 800-matrix sweep corpus.
+ */
+std::vector<NamedMatrix>
+pairCorpus()
+{
+    std::vector<NamedMatrix> corpus;
+    for (const sparse::DatasetEntry &entry : sparse::table2())
+        corpus.push_back({entry.id, entry.generate});
+    struct Shape
+    {
+        std::uint32_t scale;
+        std::size_t edges;
+    };
+    constexpr Shape kCatalog[] = {
+        {16, 1000000}, {15, 500000}, {17, 2000000},
+        {14, 250000},  {16, 700000}, {17, 1400000},
+    };
+    for (std::size_t i = 0; i < std::size(kCatalog); ++i) {
+        const Shape shape = kCatalog[i];
+        corpus.push_back({"catalog_" + std::to_string(i), [shape, i] {
+                              Rng rng(0xca7a1060u + i);
+                              return sparse::rmat(shape.scale, shape.edges,
+                                                  rng);
+                          }});
+    }
+    const std::vector<sparse::SweepEntry> sweep = sparse::sweepCorpus();
+    for (std::size_t i = 0; i < sweep.size(); i += 100)
+        corpus.push_back({sweep[i].name, sweep[i].generate});
+    return corpus;
+}
+
+TEST(PerfDeterminism, PairBuildMatchesSeparateBuildsAtEveryJobsCount)
+{
+    // The configurations compare() schedules with.
+    const core::Engine chason(core::Engine::Kind::Chason);
+    const core::Engine serpens(core::Engine::Kind::Serpens);
+    for (const NamedMatrix &m : pairCorpus()) {
+        SCOPED_TRACE(m.name);
+        const sparse::CsrMatrix a = m.generate();
+        sched::CrhcsScheduler crhcs(chason.config().sched);
+        sched::PeAwareScheduler pe_aware(serpens.config().sched);
+        crhcs.setJobs(1);
+        pe_aware.setJobs(1);
+        const std::string want_crhcs = scheduleIdentity(crhcs.schedule(a));
+        const std::string want_pe = scheduleIdentity(pe_aware.schedule(a));
+        for (const unsigned jobs : {1u, 2u, 4u}) {
+            SCOPED_TRACE(jobs);
+            crhcs.setJobs(jobs);
+            const sched::SchedulePair pair = crhcs.scheduleWithBaseline(a);
+            EXPECT_EQ(want_crhcs, scheduleIdentity(pair.crhcs));
+            EXPECT_EQ(want_pe, scheduleIdentity(pair.peAware));
+            if (jobs > 1) {
+                pe_aware.setJobs(jobs);
+                EXPECT_EQ(want_pe, scheduleIdentity(pe_aware.schedule(a)));
+            }
         }
     }
 }

@@ -1,12 +1,17 @@
 /**
  * @file
  * Tests for the concurrent schedule cache: keying, LRU byte budget,
- * counters, and multi-threaded hammering on shared and distinct keys.
+ * counters, multi-threaded hammering on shared and distinct keys, and
+ * the pair lookup that fills the CrHCS and PE-aware keys from one
+ * placement.
  */
 
 #include "core/schedule_cache.h"
 
+#include <filesystem>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +20,7 @@
 #include "sched/crhcs.h"
 #include "sched/pe_aware.h"
 #include "sparse/generators.h"
+#include "trace/trace.h"
 
 namespace chason {
 namespace core {
@@ -302,6 +308,164 @@ TEST(ScheduleCache, ConcurrentDistinctKeysAllResident)
     EXPECT_EQ(s.hits, kThreads * (kThreads + 1) - kThreads);
     EXPECT_EQ(s.entries, kThreads);
     EXPECT_EQ(s.evictions, 0u);
+}
+
+/** The CrHCS scheduler of a Chason engine (always CrHCS). */
+const sched::CrhcsScheduler &
+crhcsOf(const Engine &engine)
+{
+    return static_cast<const sched::CrhcsScheduler &>(engine.scheduler());
+}
+
+/** The "schedule:<name>" spans @p sink recorded, in order. */
+std::vector<std::string>
+scheduleSpans(const trace::TraceSink &sink)
+{
+    std::vector<std::string> names;
+    for (const trace::SpanEvent &span : sink.spans())
+        if (span.name.rfind("schedule:", 0) == 0)
+            names.push_back(span.name);
+    return names;
+}
+
+/** What a schedule's bytes must reproduce: its cycles and beat count. */
+void
+expectSameSchedule(const Engine &engine, const sched::Schedule &want,
+                   const sched::Schedule &got, const sparse::CsrMatrix &a)
+{
+    EXPECT_EQ(want.scheduler, got.scheduler);
+    EXPECT_EQ(want.config.migrationDepth, got.config.migrationDepth);
+    EXPECT_EQ(want.totalAlignedBeats(), got.totalAlignedBeats());
+    EXPECT_EQ(want.memoryBytes(), got.memoryBytes());
+    Rng rng(21);
+    const std::vector<float> x = sparse::randomVector(a.cols(), rng);
+    EXPECT_EQ(engine.runScheduled(want, a, x).cycles,
+              engine.runScheduled(got, a, x).cycles);
+}
+
+TEST(ScheduleCache, ColdPairLookupFillsBothKeysFromOneBuild)
+{
+    const Engine chason(Engine::Kind::Chason, smallConfig());
+    const Engine serpens(Engine::Kind::Serpens, smallConfig());
+    ScheduleCache cache;
+    const sparse::CsrMatrix a = matrix(30);
+    const MatrixFingerprint fp = fingerprint(a);
+
+    trace::TraceSink sink;
+    std::shared_ptr<CachedSchedule> crhcs, pe_aware;
+    {
+        const trace::ScopedSink scope(sink);
+        std::tie(crhcs, pe_aware) =
+            cache.lookupPair(crhcsOf(chason), a, fp);
+    }
+    ScheduleCacheStats s = cache.stats();
+    EXPECT_EQ(s.misses, 2u);
+    EXPECT_EQ(s.hits, 0u);
+    EXPECT_EQ(s.entries, 2u);
+    EXPECT_EQ(s.bytes, crhcs->schedule()->memoryBytes() +
+                           pe_aware->schedule()->memoryBytes());
+    if (trace::kEnabled) {
+        EXPECT_EQ(scheduleSpans(sink),
+                  std::vector<std::string>{"schedule:crhcs+pe-aware"});
+    }
+    EXPECT_TRUE(cache.debugCheckConsistency());
+
+    // Each kind's own lookup now hits the entry the pair build filled,
+    // and that entry holds what the kind's scheduler builds alone.
+    EXPECT_EQ(cache.lookup(chason.scheduler(), a, fp), crhcs);
+    EXPECT_EQ(cache.lookup(serpens.scheduler(), a, fp), pe_aware);
+    expectSameSchedule(chason, chason.schedule(a), *crhcs->schedule(), a);
+    expectSameSchedule(serpens, serpens.schedule(a),
+                       *pe_aware->schedule(), a);
+
+    // A warm pair lookup is two hits.
+    const auto warm = cache.lookupPair(crhcsOf(chason), a, fp);
+    EXPECT_EQ(warm.first, crhcs);
+    EXPECT_EQ(warm.second, pe_aware);
+    s = cache.stats();
+    EXPECT_EQ(s.misses, 2u);
+    EXPECT_EQ(s.hits, 4u);
+}
+
+TEST(ScheduleCache, PairLookupRacingSingleLookupBuildsEachKeyOnce)
+{
+    const Engine chason(Engine::Kind::Chason, smallConfig());
+    const Engine serpens(Engine::Kind::Serpens, smallConfig());
+    const sparse::CsrMatrix a = matrix(31);
+    const MatrixFingerprint fp = fingerprint(a);
+    const sched::Schedule want = serpens.schedule(a);
+
+    // Either side may reserve first; every interleaving schedules each
+    // key exactly once and hands both threads the same entry.
+    for (int round = 0; round < 8; ++round) {
+        SCOPED_TRACE(round);
+        ScheduleCache cache;
+        std::shared_ptr<CachedSchedule> from_pair, alone;
+        std::thread pair([&] {
+            from_pair = cache.lookupPair(crhcsOf(chason), a, fp).second;
+        });
+        std::thread single(
+            [&] { alone = cache.lookup(serpens.scheduler(), a, fp); });
+        pair.join();
+        single.join();
+        const ScheduleCacheStats s = cache.stats();
+        EXPECT_EQ(s.misses, 2u);
+        EXPECT_EQ(s.hits, 1u);
+        EXPECT_EQ(s.entries, 2u);
+        EXPECT_EQ(from_pair, alone);
+        expectSameSchedule(serpens, want, *alone->schedule(), a);
+    }
+}
+
+TEST(ScheduleCache, PairLookupLoadsTheStoredKindAndBuildsTheOther)
+{
+    const Engine chason(Engine::Kind::Chason, smallConfig());
+    const Engine serpens(Engine::Kind::Serpens, smallConfig());
+    const sparse::CsrMatrix a = matrix(32);
+    const MatrixFingerprint fp = fingerprint(a);
+    const std::string dir =
+        ::testing::TempDir() + "chason_cache_pair_one_kind";
+    std::filesystem::remove_all(dir);
+
+    {
+        // Store only the PE-aware kind.
+        ScheduleCache writer;
+        writer.setArtifactDir(dir);
+        writer.lookup(serpens.scheduler(), a, fp);
+        ASSERT_EQ(writer.stats().persisted, 1u);
+    }
+
+    ScheduleCache cache;
+    cache.setArtifactDir(dir);
+    trace::TraceSink sink;
+    std::shared_ptr<CachedSchedule> crhcs, pe_aware;
+    {
+        const trace::ScopedSink scope(sink);
+        std::tie(crhcs, pe_aware) =
+            cache.lookupPair(crhcsOf(chason), a, fp);
+    }
+    ScheduleCacheStats s = cache.stats();
+    EXPECT_EQ(s.misses, 2u);
+    EXPECT_EQ(s.diskHits, 1u);
+    EXPECT_EQ(s.diskMisses, 1u);
+    EXPECT_EQ(s.persisted, 1u); // the CrHCS kind, built alone
+    if (trace::kEnabled) {
+        EXPECT_EQ(scheduleSpans(sink),
+                  std::vector<std::string>{"schedule:crhcs"});
+    }
+    expectSameSchedule(chason, chason.schedule(a), *crhcs->schedule(), a);
+    expectSameSchedule(serpens, serpens.schedule(a),
+                       *pe_aware->schedule(), a);
+
+    // Both kinds are stored now: a fresh cache schedules nothing.
+    ScheduleCache reader;
+    reader.setArtifactDir(dir);
+    reader.lookupPair(crhcsOf(chason), a, fp);
+    s = reader.stats();
+    EXPECT_EQ(s.diskHits, 2u);
+    EXPECT_EQ(s.diskMisses, 0u);
+    EXPECT_EQ(s.persisted, 0u);
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

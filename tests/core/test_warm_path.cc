@@ -13,6 +13,7 @@
  * model check still fires when a plan is used.
  */
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "core/report_json.h"
 #include "sched/crhcs.h"
 #include "sparse/generators.h"
+#include "trace/trace.h"
 
 namespace chason {
 namespace core {
@@ -143,6 +145,71 @@ TEST(WarmPath, LookedUpTwiceSimulatedOnceBuildsNoPlan)
     EXPECT_EQ(stats.hits, 2u);
     EXPECT_EQ(stats.plansBuilt, 0u);
     EXPECT_EQ(stats.planBytes, 0u);
+}
+
+TEST(WarmPath, ColdCompareFillsBothKindsFromOnePairBuild)
+{
+    const Tier &tier = kTiers[1];
+    const sparse::CsrMatrix a = tierMatrix(tier);
+    const std::vector<float> x = tierX(tier, a.cols());
+    BatchEngine batch(oneWorker());
+    trace::TraceSink sink;
+    Comparison cmp;
+    {
+        const trace::ScopedSink scope(sink);
+        cmp = batch.compare(a, x, "cold");
+    }
+    const ScheduleCacheStats stats = batch.cache().stats();
+    EXPECT_EQ(stats.misses, 2u);
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.entries, 2u);
+    if (trace::kEnabled) {
+        std::vector<std::string> builds;
+        for (const trace::SpanEvent &span : sink.spans())
+            if (span.name.rfind("schedule:", 0) == 0)
+                builds.push_back(span.name);
+        EXPECT_EQ(builds,
+                  std::vector<std::string>{"schedule:crhcs+pe-aware"});
+    }
+
+    // Both reports equal the uncached comparison's, bit for bit.
+    const Comparison direct = compare(a, x, "cold");
+    EXPECT_EQ(toJson(cmp.chason), toJson(direct.chason));
+    EXPECT_EQ(toJson(cmp.serpens), toJson(direct.serpens));
+    const Engine chason(Engine::Kind::Chason), serpens(Engine::Kind::Serpens);
+    EXPECT_EQ(toJson(cmp.chason),
+              toJson(chason.runScheduled(chason.schedule(a), a, x, "cold")));
+    EXPECT_EQ(toJson(cmp.serpens), toJson(serpens.runScheduled(
+                                       serpens.schedule(a), a, x, "cold")));
+}
+
+TEST(WarmPath, CompareRacingSerpensScheduleBuildsEachKeyOnce)
+{
+    const Tier &tier = kTiers[0];
+    const sparse::CsrMatrix a = tierMatrix(tier);
+    const std::vector<float> x = tierX(tier, a.cols());
+    const Engine serpens(Engine::Kind::Serpens);
+    const sched::Schedule want = serpens.schedule(a);
+    const SpmvReport want_report = serpens.runScheduled(want, a, x, "race");
+    for (int round = 0; round < 8; ++round) {
+        SCOPED_TRACE(round);
+        BatchEngine batch(oneWorker());
+        Comparison cmp;
+        std::shared_ptr<const sched::Schedule> alone;
+        std::thread comparer([&] { cmp = batch.compare(a, x, "race"); });
+        std::thread scheduler([&] { alone = batch.schedule(serpens, a); });
+        comparer.join();
+        scheduler.join();
+        const ScheduleCacheStats stats = batch.cache().stats();
+        EXPECT_EQ(stats.misses, 2u);
+        EXPECT_EQ(stats.hits, 1u);
+        EXPECT_EQ(stats.entries, 2u);
+        EXPECT_EQ(alone->totalAlignedBeats(), want.totalAlignedBeats());
+        EXPECT_EQ(alone->memoryBytes(), want.memoryBytes());
+        EXPECT_EQ(toJson(serpens.runScheduled(*alone, a, x, "race")),
+                  toJson(want_report));
+        EXPECT_EQ(toJson(cmp.serpens), toJson(want_report));
+    }
 }
 
 TEST(WarmPath, ConcurrentFirstRunsBuildExactlyOnePlan)
